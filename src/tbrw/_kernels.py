@@ -2,8 +2,9 @@
 
 The per-step loop (attach leaves, jump to a uniform neighbor) dominates the
 runtime of every experiment, so it is compiled with numba when available.
-A pure-numpy fallback with bit-identical output is selected by setting the
-environment variable ``TBRW_NUMBA=0`` (or when numba is not importable).
+A fallback that runs the same loop step by step in Python, with
+bit-identical output, is selected by setting the environment variable
+``TBRW_NUMBA=0`` (or when numba is not importable).
 Both paths consume no randomness of their own: leaf counts and jump uniforms
 are precomputed arrays, which is what makes the two backends interchangeable
 and every run replayable.

@@ -2,8 +2,8 @@
 
 Usage: ``tbrw <experiment> --config file.json [--seed N] [--replicas N]
 [--horizon N] [--out DIR] [--workers N]``.  Flags override config fields.
-Exits 0 on success; on failure prints a one-line JSON error to stderr and
-exits nonzero.
+Exits 0 on success; on any failure prints a one-line JSON error to stderr
+and exits 2.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .config import EXPERIMENT_NAMES, ConfigError, parse_config
-from .experiments import ExperimentError, run_experiment
+from .config import EXPERIMENT_NAMES, parse_config
+from .experiments import run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
             base["experiment"] = args.experiment
         cfg = parse_config(base, overrides)
         manifest = run_experiment(cfg)
-    except (ConfigError, ExperimentError, OSError, json.JSONDecodeError) as exc:
+    except Exception as exc:  # noqa: BLE001 - the CLI's one error boundary
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

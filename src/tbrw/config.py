@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +57,33 @@ class ExperimentConfig:
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+def _require_number(x, path: str, lo: float, hi: float, integer=False) -> None:
+    kind = int if integer else (int, float)
+    _require(isinstance(x, kind) and not isinstance(x, bool) and lo <= x <= hi,
+             path, f"must be {'an integer' if integer else 'a number'} "
+                   f"in [{lo}, {hi}]")
+
+
+def _check_grand_params(params: dict, horizon: int) -> None:
+    unit, step, count = (0.0, 1.0), (1, horizon, True), (1, math.inf, True)
+    p_grid = params.get("p_grid", [])
+    _require(isinstance(p_grid, list), "params.p_grid", "must be a list")
+    for i, p in enumerate(p_grid):
+        _require_number(p, f"params.p_grid[{i}]", *unit)
+    for name, fields in (("coalescence", {"p": unit, "q": unit, "n": step}),
+                         ("marginal", {"p": unit, "steps": step,
+                                       "replicas": count})):
+        block = params.get(name)
+        if block is None:
+            continue
+        _require(isinstance(block, dict), f"params.{name}", "must be an object")
+        for key, bounds in fields.items():
+            _require(key in block, f"params.{name}.{key}", "is required")
+            _require_number(block[key], f"params.{name}.{key}", *bounds)
+    batches = (params.get("coalescence") or {}).get("batches", 1)
+    _require_number(batches, "params.coalescence.batches", *count)
 
 
 def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -111,6 +139,8 @@ def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
             raise ConfigError(f"schedule: {exc}") from None
     params = merged.get("params", {})
     _require(isinstance(params, dict), "params", "must be an object")
+    if experiment == "coupling-grand":
+        _check_grand_params(params, horizon)
     return ExperimentConfig(
         experiment=experiment, master_seed=merged["seed"],
         out_dir=str(merged.get("out", "out")), horizon=horizon,

@@ -10,6 +10,13 @@ Three couplings live here:
   shared tree with per-vertex visibility labels, the floor walker advancing
   only when the leading walker moves across commonly visible structure.
 
+The grand process is kept as a cut list.  Its balls always tile [0, 1] and
+each step splits one of them at the fresh uniform U, so after n steps the
+balls are the gaps between the sorted cuts {0, U_1..U_n, 1}: the ball that
+U splits is found by bisection, and the ball holding a parameter p is the
+count of uniforms below p.  Ball positions are one flat array of nodes per
+step and vertex labels plain sorted (lo, hi) parts.
+
 Interval endpoints are the sampled uniforms themselves and are only ever
 compared, never rounded or averaged, so label membership is exact; the
 uniforms are redrawn in the (measure-zero) event of a duplicate.
@@ -17,9 +24,10 @@ uniforms are redrawn in the (measure-zero) event of a duplicate.
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,93 +162,74 @@ def tv_coupled_run(law_a: LeafLaw, law_b: LeafLaw, horizon: int,
 
 
 # ---------------------------------------------------------------------------
-# interval machinery for the grand process
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Disjoint sorted closed subintervals of [0, 1]; all queries are exact
-    endpoint comparisons."""
-
-    parts: tuple  # of (lo, hi) pairs
-
-    def __post_init__(self):
-        parts = tuple((float(a), float(b)) for a, b in self.parts)
-        for a, b in parts:
-            if not (0.0 <= a <= b <= 1.0):
-                raise ValueError(f"bad interval [{a}, {b}]")
-        for (_, b1), (a2, _) in zip(parts, parts[1:]):
-            if a2 < b1:
-                raise ValueError("intervals must be disjoint and sorted")
-        object.__setattr__(self, "parts", parts)
-
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls(parts=((0.0, 1.0),))
-
-    @property
-    def empty(self) -> bool:
-        return not self.parts
-
-    def contains_point(self, p: float) -> bool:
-        return any(a <= p <= b for a, b in self.parts)
-
-    def contains_interval(self, lo: float, hi: float) -> bool:
-        return any(a <= lo and hi <= b for a, b in self.parts)
-
-    def intersect_interval(self, lo: float, hi: float) -> "IntervalSet":
-        out = []
-        for a, b in self.parts:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 < b2:
-                out.append((a2, b2))
-        return IntervalSet(parts=tuple(out))
-
-    def to_json(self):
-        return [[a, b] for a, b in self.parts]
-
-
-@dataclass
-class GrandBall:
-    ball_id: int
-    lo: float
-    hi: float
-    node: int
+# the grand process
 
 
 @dataclass
 class GrandRun:
     """Full record of one interval-labeled run: enough to replay any
-    single-parameter instance and to check every structural invariant."""
+    single-parameter instance and to check every structural invariant.
+
+    After step n the balls are the n + 1 gaps between the sorted cuts
+    {0, U_1..U_n, 1}, ball i being [cuts[i], cuts[i + 1]].  ``ball_steps``
+    holds the node of every ball after every step, flat: step n's n + 1
+    entries start at n(n + 1)/2, in ball order.
+    """
 
     horizon: int
     seed: int
     initial_size: int
-    uniforms: np.ndarray            # U_1..U_horizon
-    node_parent: List[int]
-    node_birth: List[int]
-    node_depth: List[int]
-    node_label: List[IntervalSet]
-    ball_steps: List[List[Tuple[float, float, int]]]  # (lo, hi, node) per step
+    uniforms: np.ndarray            # U_1..U_horizon, in draw order
+    node_parent: np.ndarray
+    node_birth: np.ndarray
+    node_depth: np.ndarray
+    node_label: List[tuple]         # sorted disjoint (lo, hi) parts per node
+    ball_steps: np.ndarray
     events: List[dict]
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_parent)
 
-    def ball_holding(self, p: float, step: int) -> Tuple[float, float, int]:
-        holders = [b for b in self.ball_steps[step] if b[0] <= p <= b[1]]
-        if len(holders) != 1:
-            raise ValueError(f"{len(holders)} balls hold {p} at step {step}")
-        return holders[0]
+    def cuts(self, step: int) -> np.ndarray:
+        """The sorted endpoints {0, U_1..U_step, 1} of the step's balls."""
+        return np.concatenate(([0.0], np.sort(self.uniforms[:step]), [1.0]))
 
-    def visible_nodes(self, p: float) -> List[int]:
-        return [i for i in range(self.n_nodes) if self.node_label[i].contains_point(p)]
+    def balls(self, step: int) -> np.ndarray:
+        """Node of each ball after ``step`` steps, in ball order."""
+        start = step * (step + 1) // 2
+        return self.ball_steps[start:start + step + 1]
 
-    def write_events_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for ev in self.events:
-                fh.write(json.dumps(ev, sort_keys=True) + "\n")
+    def nodes_holding(self, p: float, n: int) -> np.ndarray:
+        """Node of the ball holding p after each step 0..n.  That ball's
+        index is the count of uniforms drawn so far below p."""
+        drawn = self.uniforms[:n]
+        if np.any(drawn == p):
+            raise ValueError(f"two balls hold the split point {p}")
+        steps = np.arange(n + 1)
+        index = np.concatenate(([0], np.cumsum(drawn < p)))
+        return self.ball_steps[steps * (steps + 1) // 2 + index]
+
+    @cached_property
+    def _label_parts(self):
+        owner = np.repeat(np.arange(self.n_nodes),
+                          [len(parts) for parts in self.node_label])
+        lo, hi = np.array([ab for parts in self.node_label for ab in parts]).T
+        return owner, lo, hi
+
+    def visible(self, p: float) -> np.ndarray:
+        """Mask of the nodes whose label contains p."""
+        owner, lo, hi = self._label_parts
+        mask = np.zeros(self.n_nodes, dtype=np.bool_)
+        mask[owner[(lo <= p) & (p <= hi)]] = True
+        return mask
+
+
+def write_events_jsonl(events: Sequence[dict], path) -> None:
+    """One ``{step, U, split, new_nodes, ball_moves}`` object per line."""
+    with open(path, "w") as fh:
+        for ev in events:
+            fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
 def grand_run(initial="edge", horizon: int = 100, seed: int = 0) -> GrandRun:
@@ -258,82 +247,81 @@ def grand_run(initial="edge", horizon: int = 100, seed: int = 0) -> GrandRun:
     birth = [0] * len(parent)
     depth = list(state.tree.depth)
     children = [list(c) for c in state.tree.children]
-    label: List[IntervalSet] = [IntervalSet.full() for _ in parent]
-    balls: List[GrandBall] = [GrandBall(ball_id=0, lo=0.0, hi=1.0,
-                                        node=state.position)]
+    label = [((0.0, 1.0),)] * len(parent)
+    cuts = [0.0, 1.0]
+    ball_node = [state.position]
+    ball_id = [0]
     next_ball = 1
     uniforms: List[float] = []
-    seen = set()
-    ball_steps = [[(b.lo, b.hi, b.node) for b in balls]]
+    ball_steps = list(ball_node)
     events: List[dict] = []
 
     for n in range(1, horizon + 1):
         u = float(rng.random())
-        while u in seen or u == 0.0:
+        while cuts[bisect.bisect(cuts, u) - 1] == u:  # 0 or a duplicate
             u = float(rng.random())
-        seen.add(u)
         uniforms.append(u)
+        k = bisect.bisect(cuts, u) - 1  # the ball that U splits
 
-        by_node: Dict[int, List[GrandBall]] = {}
-        for b in balls:
-            by_node.setdefault(b.node, []).append(b)
+        # the labels of the balls from k on meet [U, 1]; the others lie below U
+        parts_at: Dict[int, list] = {}
+        for i in range(k, len(ball_node)):
+            lo = u if i == k else cuts[i]
+            parts_at.setdefault(ball_node[i], []).append((lo, cuts[i + 1]))
         new_nodes = []
-        for v in sorted(by_node):
-            union = IntervalSet(parts=tuple(sorted((b.lo, b.hi)
-                                                   for b in by_node[v])))
-            lab = union.intersect_interval(u, 1.0)
-            if lab.empty:
-                continue
+        for v in sorted(parts_at):
             node = len(parent)
             parent.append(v)
             birth.append(n)
             depth.append(depth[v] + 1)
             children.append([])
             children[v].append(node)
-            label.append(lab)
-            new_nodes.append((v, lab.to_json()))
+            label.append(tuple(parts_at[v]))
+            new_nodes.append([v, [list(ab) for ab in parts_at[v]]])
 
-        split_ev = None
-        for i, b in enumerate(balls):
-            if b.lo < u < b.hi:
-                left = GrandBall(ball_id=next_ball, lo=b.lo, hi=u, node=b.node)
-                right = GrandBall(ball_id=next_ball + 1, lo=u, hi=b.hi, node=b.node)
-                next_ball += 2
-                balls[i:i + 1] = [left, right]
-                split_ev = [b.ball_id, left.ball_id, right.ball_id]
-                break
+        split_ev = [ball_id[k], next_ball, next_ball + 1]
+        cuts.insert(k + 1, u)
+        ball_node.insert(k + 1, ball_node[k])
+        ball_id[k:k + 1] = [next_ball, next_ball + 1]
+        next_ball += 2
 
+        jumps = rng.random(len(ball_node)).tolist()
         moves = []
-        for b in balls:
-            nbrs = ([parent[b.node]] if parent[b.node] >= 0 else []) \
-                + children[b.node]
-            eligible = [w for w in nbrs if label[w].contains_interval(b.lo, b.hi)]
-            r = int(rng.random() * len(eligible))
-            target = eligible[min(r, len(eligible) - 1)]
-            moves.append([b.ball_id, b.node, target])
-            b.node = target
+        for i, v in enumerate(ball_node):
+            lo, hi = cuts[i], cuts[i + 1]
+            nbrs = children[v] if parent[v] < 0 else [parent[v], *children[v]]
+            eligible = [w for w in nbrs
+                        if any(a <= lo and hi <= b for a, b in label[w])]
+            target = eligible[min(int(jumps[i] * len(eligible)), len(eligible) - 1)]
+            moves.append([ball_id[i], v, target])
+            ball_node[i] = target
 
-        ball_steps.append([(b.lo, b.hi, b.node) for b in balls])
+        ball_steps.extend(ball_node)
         events.append({"step": n, "U": u, "split": split_ev,
                        "new_nodes": new_nodes, "ball_moves": moves})
 
     return GrandRun(horizon=horizon, seed=seed, initial_size=state.tree.node_count,
-                    uniforms=np.asarray(uniforms), node_parent=parent,
-                    node_birth=birth, node_depth=depth, node_label=label,
-                    ball_steps=ball_steps, events=events)
+                    uniforms=np.asarray(uniforms, dtype=np.float64),
+                    node_parent=np.asarray(parent, dtype=np.int64),
+                    node_birth=np.asarray(birth, dtype=np.int64),
+                    node_depth=np.asarray(depth, dtype=np.int64),
+                    node_label=label,
+                    ball_steps=np.asarray(ball_steps, dtype=np.int64),
+                    events=events)
 
 
 def check_grand_invariants(grand: GrandRun) -> None:
     """Exact structural checks after every step; raises AssertionError."""
-    for step, snapshot in enumerate(grand.ball_steps):
-        ends = sorted(snapshot)
-        assert ends[0][0] == 0.0 and ends[-1][1] == 1.0, "balls must span [0, 1]"
-        for (a1, b1, _), (a2, b2, _) in zip(ends, ends[1:]):
-            assert b1 == a2, f"gap or overlap in ball labels at step {step}"
-        for lo, hi, node in snapshot:
-            assert grand.node_label[node].contains_interval(lo, hi), \
+    for step in range(grand.horizon + 1):
+        cuts = grand.cuts(step).tolist()
+        assert cuts[0] == 0.0 and cuts[-1] == 1.0, "balls must span [0, 1]"
+        assert all(a < b for a, b in zip(cuts, cuts[1:])), \
+            f"gap or overlap in ball labels at step {step}"
+        nodes = grand.balls(step).tolist()
+        assert len(nodes) == 1 + step, "one split per step"
+        for lo, hi, node in zip(cuts, cuts[1:], nodes):
+            assert any(a <= lo and hi <= b for a, b in grand.node_label[node]), \
                 f"ball [{lo},{hi}] escaped its vertex label at step {step}"
-        assert len(snapshot) == 1 + step, "one split per step"
 
 
 def extract_instance(grand: GrandRun, p: float) -> Trajectory:
@@ -341,49 +329,33 @@ def extract_instance(grand: GrandRun, p: float) -> Trajectory:
     contains p, its walker the unique ball holding p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if any(u == p for u in grand.uniforms):
-        raise ValueError(f"p={p} collides with a sampled uniform; "
-                         "extraction at split points is undefined")
-    visible = grand.visible_nodes(p)
-    local = {g: i for i, g in enumerate(visible)}
-    vis_child_births: Dict[int, List[int]] = {g: [] for g in visible}
-    for g in visible:
-        par = grand.node_parent[g]
-        if par >= 0:
-            vis_child_births[par].append(grand.node_birth[g])
-    for v in vis_child_births.values():
-        v.sort()
-
     horizon = grand.horizon
-    positions = np.empty(horizon + 1, dtype=np.int64)
-    depths = np.empty(horizon + 1, dtype=np.int64)
-    xi = np.zeros(horizon + 1, dtype=np.int64)
-    flags = np.zeros(horizon + 1, dtype=np.bool_)
-    births = np.asarray([grand.node_birth[g] for g in visible])
-    for n in range(horizon + 1):
-        _, _, node = grand.ball_holding(p, n)
-        positions[n] = local[node]
-        depths[n] = grand.node_depth[node]
-        kids = vis_child_births[node]
-        deg = int(np.searchsorted(kids, n, side="right"))
-        if grand.node_parent[node] >= 0:
-            deg += 1
-        flags[n] = deg == 1
-    counts = np.bincount(births[births >= 1], minlength=horizon + 1)
-    xi[1:] = counts[1:horizon + 1]
-    return Trajectory(positions=positions, depths=depths, xi=xi,
-                      leaf_at_arrival=flags, initial_tree_size=grand.initial_size,
-                      seed=grand.seed,
+    walker = grand.nodes_holding(p, horizon)  # raises at a split point
+    visible = grand.visible(p)
+    # the walker's degree at step n counts its parent and the visible
+    # children born by step n; key (parent, birth) pairs as one integer
+    width = horizon + 1
+    kids = np.flatnonzero(visible & (grand.node_parent >= 0))
+    keys = np.sort(grand.node_parent[kids] * width + grand.node_birth[kids])
+    base = walker * width
+    degree = (np.searchsorted(keys, base + np.arange(width), side="right")
+              - np.searchsorted(keys, base, side="left")
+              + (grand.node_parent[walker] >= 0))
+    births = grand.node_birth[visible]
+    xi = np.zeros(width, dtype=np.int64)
+    xi[1:] = np.bincount(births[births >= 1], minlength=width)[1:width]
+    return Trajectory(positions=(np.cumsum(visible) - 1)[walker],
+                      depths=grand.node_depth[walker], xi=xi,
+                      leaf_at_arrival=degree == 1,
+                      initial_tree_size=grand.initial_size, seed=grand.seed,
                       schedule={"kind": "extracted-bernoulli", "p": p},
                       extras={"extracted_p": p})
 
 
 def vertex_count(grand: GrandRun, p: float, n: int) -> int:
     """Tree size of the p-instance after n steps (initial vertices included)."""
-    added = sum(1 for g in range(grand.n_nodes)
-                if 1 <= grand.node_birth[g] <= n
-                and grand.node_label[g].contains_point(p))
-    return grand.initial_size + added
+    born = (grand.node_birth >= 1) & (grand.node_birth <= n)
+    return grand.initial_size + int(np.count_nonzero(grand.visible(p) & born))
 
 
 def vertex_count_monotone(grand: GrandRun, p_list: Sequence[float], n: int) -> bool:
@@ -394,46 +366,18 @@ def vertex_count_monotone(grand: GrandRun, p_list: Sequence[float], n: int) -> b
 def instances_agree_through(grand: GrandRun, p: float, q: float, n: int) -> bool:
     """True when the p- and q-instances coincide (trees and walker) for every
     step up to n."""
-    vis_p = {g for g in range(grand.n_nodes)
-             if grand.node_birth[g] <= n and grand.node_label[g].contains_point(p)}
-    vis_q = {g for g in range(grand.n_nodes)
-             if grand.node_birth[g] <= n and grand.node_label[g].contains_point(q)}
-    if vis_p != vis_q:
+    born = grand.node_birth <= n
+    if not np.array_equal(grand.visible(p) & born, grand.visible(q) & born):
         return False
-    for step in range(n + 1):
-        if grand.ball_holding(p, step)[2] != grand.ball_holding(q, step)[2]:
-            return False
-    return True
+    return np.array_equal(grand.nodes_holding(p, n), grand.nodes_holding(q, n))
 
 
 def no_uniform_between(grand: GrandRun, p: float, q: float, n: int) -> bool:
     """The sufficient coalescence event: no split point fell strictly between
     the two parameters in the first n steps."""
     lo, hi = min(p, q), max(p, q)
-    return not any(lo < u < hi for u in grand.uniforms[:n])
-
-
-@dataclass(frozen=True)
-class CoalescenceEstimate:
-    agree_freq: float        # both instances identical through step n
-    sufficient_freq: float   # no split point between the two parameters
-    sufficient_se: float
-    lower_bound: float       # (1 - |p - q|) ** n
-    inclusion_ok: bool       # sufficient event implied agreement in every run
-    n_runs: int
-
-
-def coalescence_probability(runs: Sequence[GrandRun], p: float, q: float,
-                            n: int) -> CoalescenceEstimate:
-    """Empirical probability that the p- and q-instances move together for
-    n steps, with the sufficient no-split-between event counted separately."""
-    agree = np.array([instances_agree_through(g, p, q, n) for g in runs])
-    suff = np.array([no_uniform_between(g, p, q, n) for g in runs])
-    se = float(suff.std(ddof=1) / math.sqrt(len(suff))) if len(suff) > 1 else 0.0
-    return CoalescenceEstimate(
-        agree_freq=float(agree.mean()), sufficient_freq=float(suff.mean()),
-        sufficient_se=se, lower_bound=(1.0 - abs(p - q)) ** n,
-        inclusion_ok=bool(np.all(agree | ~suff)), n_runs=len(runs))
+    drawn = grand.uniforms[:n]
+    return not np.any((lo < drawn) & (drawn < hi))
 
 
 # ---------------------------------------------------------------------------

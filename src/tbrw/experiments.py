@@ -8,6 +8,7 @@ outputs are byte-identical across reruns and across worker counts.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -33,19 +34,21 @@ class ReplicaError(ExperimentError):
 
 
 def _map_replicas(fn: Callable, args_list: Sequence, workers: int) -> List:
-    """Run one task per argument tuple; failures are collected per index."""
+    """Run one task per argument tuple; failures are collected per index.
+
+    A pool receives the tasks in contiguous chunks of ceil(n / (4 workers))
+    indices, so its per-submission cost is paid per chunk, not per replica.
+    """
     if workers <= 1 or len(args_list) <= 1:
         results = [_safe_call(fn, a) for a in args_list]
     else:
         import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import ProcessPoolExecutor
         ctx = mp.get_context("fork")
-        results = [None] * len(args_list)
+        chunk = math.ceil(len(args_list) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-            futures = {ex.submit(_safe_call, fn, a): i
-                       for i, a in enumerate(args_list)}
-            for fut in as_completed(futures):
-                results[futures[fut]] = fut.result()
+            results = list(ex.map(_safe_call, itertools.repeat(fn), args_list,
+                                  chunksize=chunk))
     failures = [(i, msg) for i, (ok, msg) in enumerate(results) if not ok]
     if failures:
         raise ReplicaError(failures)
@@ -73,6 +76,17 @@ def _jsonable(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
     raise TypeError(f"not JSON serializable: {type(x)}")
+
+
+# stream role of the replica seeds, "run" unless listed; speed-curve and
+# counterexample derive theirs per p and per phase instead
+_SEED_ROLES = {"coupling-grand": "grand", "coupling-tv": "pair",
+               "coupling-monotone": "pair"}
+
+
+def _replica_seed(cfg: ExperimentConfig, replica: int) -> int:
+    return derive_seed(cfg.master_seed, cfg.experiment, replica,
+                       _SEED_ROLES.get(cfg.experiment, "run"))
 
 
 def _resolve_schedule(cfg: ExperimentConfig, default: Optional[dict] = None):
@@ -111,14 +125,11 @@ def _task_trajectory_stats(args):
     return out
 
 
-def _task_final_depths(args):
-    seed, p, horizon, count, master, experiment = args
-    sched = schedules.bernoulli(p)
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        s = derive_seed(master, experiment, seed + i, f"p={p!r}")
-        out[i] = engine.run("edge", sched, horizon, s, keep_tree=False).depths[-1]
-    return out.tolist()
+def _task_final_depth(args):
+    seed, p, horizon = args
+    traj = engine.run("edge", schedules.bernoulli(p), horizon, seed,
+                      keep_tree=False)
+    return int(traj.depths[-1])
 
 
 def _task_lil_pass1(args):
@@ -140,7 +151,8 @@ def _task_lil_pass2(args):
 
 
 def _task_grand(args):
-    (seed, horizon, p_grid, coal, marginal_p, marginal_step, want_marginal) = args
+    (seed, horizon, p_grid, coal, marginal_p, marginal_step, want_marginal,
+     want_events) = args
     grand = couplings.grand_run("edge", horizon, seed)
     couplings.check_grand_invariants(grand)
     out = {
@@ -158,6 +170,8 @@ def _task_grand(args):
     if want_marginal:
         traj = couplings.extract_instance(grand, marginal_p)
         out["marginal_depth"] = int(traj.depths[marginal_step])
+    if want_events:
+        out["events"] = grand.events
     return out
 
 
@@ -209,8 +223,9 @@ def _task_monotone(args):
 
 def _run_simulate(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg)
-    seed = derive_seed(cfg.master_seed, cfg.experiment, 0, "run")
-    traj = engine.run(cfg.params.get("initial", "edge"), sched, cfg.horizon, seed)
+    seed = _replica_seed(cfg, 0)
+    traj = engine.run(cfg.params.get("initial", "edge"), sched, cfg.horizon, seed,
+                      keep_tree=False)
     csv_path = os.path.join(out, "trajectory.csv")
     engine.trajectory_to_csv(traj, csv_path)
     record = stopping.detect_renewals(traj, cfg.guard)
@@ -232,7 +247,7 @@ def _pooled_blocks(per_replica: Sequence[dict]) -> np.ndarray:
 
 def _run_renewal_stats(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg)
-    args = [(derive_seed(cfg.master_seed, cfg.experiment, r, "run"), desc,
+    args = [(_replica_seed(cfg, r), desc,
              cfg.horizon, cfg.guard, cfg.params.get("initial", "edge"))
             for r in range(cfg.replicas)]
     results = _map_replicas(_task_trajectory_stats, args, cfg.workers)
@@ -290,18 +305,14 @@ def _run_speed_curve(cfg: ExperimentConfig, out: str) -> list:
     p_grid = cfg.params.get("p_grid")
     if not p_grid:
         raise ExperimentError("params.p_grid: required for speed-curve")
-    chunk = max(1, math.ceil(cfg.replicas / max(cfg.workers * 4, 1)))
     points = []
-    for p in p_grid:
-        args = [(start, float(p), cfg.horizon,
-                 min(chunk, cfg.replicas - start), cfg.master_seed,
-                 cfg.experiment)
-                for start in range(0, cfg.replicas, chunk)]
-        parts = _map_replicas(_task_final_depths, args, cfg.workers)
-        finals = np.concatenate([np.asarray(x) for x in parts]).astype(np.float64)
-        v = finals / cfg.horizon
+    for p in map(float, p_grid):
+        args = [(derive_seed(cfg.master_seed, cfg.experiment, r, f"p={p!r}"),
+                 p, cfg.horizon) for r in range(cfg.replicas)]
+        finals = _map_replicas(_task_final_depth, args, cfg.workers)
+        v = np.asarray(finals, dtype=np.float64) / cfg.horizon
         points.append(estimators.SpeedCurvePoint(
-            p=float(p), v_hat=float(v.mean()),
+            p=p, v_hat=float(v.mean()),
             stderr=float(v.std(ddof=1) / math.sqrt(len(v))),
             replicas=len(v), horizon=cfg.horizon))
     estimators.speed_curve_to_csv(points, os.path.join(out, "speed_curve.csv"))
@@ -319,7 +330,7 @@ def _run_speed_curve(cfg: ExperimentConfig, out: str) -> list:
 def _run_degree_dist(cfg: ExperimentConfig, out: str) -> list:
     default = {"kind": "decaying", "gamma": cfg.params.get("gamma", 0.75)}
     sched, desc = _resolve_schedule(cfg, default)
-    seed = derive_seed(cfg.master_seed, cfg.experiment, 0, "run")
+    seed = _replica_seed(cfg, 0)
     traj = engine.run("edge", sched, cfg.horizon, seed, keep_tree=True)
     hist = estimators.degree_histogram(traj.final_tree)
     estimators.degree_histogram_to_csv(hist, os.path.join(out, "degree.csv"))
@@ -336,7 +347,7 @@ def _run_degree_dist(cfg: ExperimentConfig, out: str) -> list:
 
 def _run_tail(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
-    args = [(derive_seed(cfg.master_seed, cfg.experiment, r, "run"), desc,
+    args = [(_replica_seed(cfg, r), desc,
              cfg.horizon, cfg.guard, "edge") for r in range(cfg.replicas)]
     results = _map_replicas(_task_trajectory_stats, args, cfg.workers)
     samples, censored = [], []
@@ -360,7 +371,7 @@ def _run_tail(cfg: ExperimentConfig, out: str) -> list:
 
 def _run_clt(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
-    args = [(derive_seed(cfg.master_seed, cfg.experiment, r, "run"), desc,
+    args = [(_replica_seed(cfg, r), desc,
              cfg.horizon, cfg.guard, "edge") for r in range(cfg.replicas)]
     results = _map_replicas(_task_trajectory_stats, args, cfg.workers)
     finals = np.array([r["final_depth"] for r in results], dtype=np.float64)
@@ -390,7 +401,7 @@ def _run_lil(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
     n_min = int(cfg.params.get("n_min", 10_000))
     band = cfg.params.get("band", [0.4, 1.6])
-    seeds = [derive_seed(cfg.master_seed, cfg.experiment, r, "run")
+    seeds = [_replica_seed(cfg, r)
              for r in range(cfg.replicas)]
     pass1 = _map_replicas(_task_lil_pass1,
                           [(s, desc, cfg.horizon, cfg.guard) for s in seeds],
@@ -428,15 +439,13 @@ def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
     args = []
     for r in range(cfg.replicas):
         want_marginal = marg is not None and r < int(marg["replicas"])
-        args.append((derive_seed(cfg.master_seed, cfg.experiment, r, "grand"),
+        args.append((_replica_seed(cfg, r),
                      cfg.horizon, tuple(float(p) for p in p_grid), coal_t,
                      float(marg["p"]) if marg else 0.0,
-                     int(marg["steps"]) if marg else 0, want_marginal))
+                     int(marg["steps"]) if marg else 0, want_marginal, r == 0))
     results = _map_replicas(_task_grand, args, cfg.workers)
-    exemplar = couplings.grand_run(
-        "edge", cfg.horizon,
-        derive_seed(cfg.master_seed, cfg.experiment, 0, "grand"))
-    exemplar.write_events_jsonl(os.path.join(out, "grand_events.jsonl"))
+    couplings.write_events_jsonl(results[0].pop("events"),
+                                 os.path.join(out, "grand_events.jsonl"))
     summary = {
         "replicas": cfg.replicas,
         "horizon": cfg.horizon,
@@ -489,7 +498,7 @@ def _run_coupling_tv(cfg: ExperimentConfig, out: str) -> list:
     law_b = cfg.params.get("law_b", {"support": [0, 1], "probs": [0.3, 0.7]})
     d_tv = couplings.tv_distance(schedules.LeafLaw.from_dict(law_a),
                                  schedules.LeafLaw.from_dict(law_b))
-    args = [(derive_seed(cfg.master_seed, cfg.experiment, r, "pair"),
+    args = [(_replica_seed(cfg, r),
              law_a, law_b, cfg.horizon, cfg.guard) for r in range(cfg.replicas)]
     results = _map_replicas(_task_tv_pair, args, cfg.workers)
     with open(os.path.join(out, "tv_pairs.csv"), "w", newline="") as fh:
@@ -520,7 +529,7 @@ def _run_coupling_monotone(cfg: ExperimentConfig, out: str) -> list:
     initial = cfg.params.get("initial",
                              {"parents": [None, 0, 1, 2], "walker": 3})
     target = int(cfg.params.get("target", 0))
-    args = [(derive_seed(cfg.master_seed, cfg.experiment, r, "pair"),
+    args = [(_replica_seed(cfg, r),
              law, p_floor, cfg.horizon, initial, target)
             for r in range(cfg.replicas)]
     results = _map_replicas(_task_monotone, args, cfg.workers)
@@ -647,7 +656,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         config_hash=cfg.hash(),
         resolved_schedule=cfg.resolved_schedule,
         engine_version=engine.ENGINE_VERSION,
-        replica_seeds=[derive_seed(cfg.master_seed, cfg.experiment, r, "run")
+        replica_seeds=[_replica_seed(cfg, r)
                        for r in range(min(cfg.replicas, 10_000))],
         wall_time_s=round(time.monotonic() - start, 3),
         outputs=sorted(outputs),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tbrw import cli, config
+from tbrw import cli, config, couplings, schedules
 from tbrw.config import ConfigError, derive_seed, parse_config
 from tbrw.experiments import run_experiment
 
@@ -122,6 +122,57 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     payload = json.loads(err)
     assert "error" in payload and "message" in payload
+
+
+GRAND_PARAMS = {"p_grid": [0.0, 0.5, 1.0],
+                "coalescence": {"p": 0.5, "q": 0.55, "n": 10},
+                "marginal": {"p": 0.5, "steps": 20, "replicas": 2}}
+
+
+@pytest.mark.parametrize("experiment, params, error", [
+    ("coupling-grand", {**GRAND_PARAMS, "marginal": {"p": 0.5, "steps": 20}},
+     "ConfigError"),
+    ("coupling-grand", {**GRAND_PARAMS, "p_grid": [0.5, 1.5]}, "ConfigError"),
+    ("coupling-grand", {**GRAND_PARAMS,
+                        "coalescence": {"p": 0.5, "q": 0.55, "n": 21}},
+     "ConfigError"),
+    ("tail", {}, "InsufficientBlocksError"),
+    ("counterexample", {"p": 0.9, "q": 0.2}, "ScheduleError"),
+])
+def test_cli_params_failure_is_one_json_line(tmp_path, capsys, experiment,
+                                             params, error):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": experiment, "seed": 1, "horizon": 20, "replicas": 2,
+        "params": params, "out": str(tmp_path / "run")}))
+    rc = cli.main([experiment, "--config", str(cfg_path)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+def test_manifest_seeds_replay_coupling_runs(tmp_path):
+    grand_out, tv_out = tmp_path / "grand", tmp_path / "tv"
+    run_experiment(parse_config({
+        "experiment": "coupling-grand", "seed": 2, "horizon": 20,
+        "replicas": 3, "params": GRAND_PARAMS, "out": str(grand_out)}))
+    manifest = json.loads((grand_out / "manifest.json").read_text())
+    replayed = couplings.grand_run("edge", manifest["config"]["horizon"],
+                                   manifest["replica_seeds"][0])
+    couplings.write_events_jsonl(replayed.events, tmp_path / "replay.jsonl")
+    assert _read(tmp_path / "replay.jsonl") == _read(grand_out / "grand_events.jsonl")
+
+    run_experiment(parse_config({
+        "experiment": "coupling-tv", "seed": 2, "horizon": 30, "replicas": 3,
+        "out": str(tv_out)}))
+    manifest = json.loads((tv_out / "manifest.json").read_text())
+    rows = (tv_out / "tv_pairs.csv").read_text().splitlines()[1:]
+    laws = (schedules.LeafLaw(support=(0, 1), probs=(0.5, 0.5)),
+            schedules.LeafLaw(support=(0, 1), probs=(0.3, 0.7)))
+    for row, seed in zip(rows, manifest["replica_seeds"]):
+        zeta = couplings.tv_coupled_run(*laws, 30, seed).split_time
+        assert row.split(",")[1] == ("" if zeta is None else str(zeta))
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tbrw import couplings, schedules, stopping
-from tbrw.couplings import IntervalSet
 from tbrw.schedules import LeafLaw
 
 
@@ -94,40 +93,25 @@ def test_tv_coupled_marginals_preserved():
     assert abs(b - 0.7) < 4 * se
 
 
-def test_interval_set_operations():
-    s = IntervalSet(parts=((0.1, 0.3), (0.5, 0.8)))
-    assert s.contains_point(0.2)
-    assert not s.contains_point(0.4)
-    assert s.contains_interval(0.55, 0.7)
-    assert not s.contains_interval(0.25, 0.55)
-    cut = s.intersect_interval(0.2, 0.6)
-    assert cut.parts == ((0.2, 0.3), (0.5, 0.6))
-    with pytest.raises(ValueError):
-        IntervalSet(parts=((0.4, 0.2),))
-    with pytest.raises(ValueError):
-        IntervalSet(parts=((0.0, 0.5), (0.4, 0.9)))
-
-
 def test_grand_first_step_structure():
     g = couplings.grand_run("edge", horizon=1, seed=11)
     u = g.uniforms[0]
     # one new vertex labeled [U,1] attached at the walker
     assert g.n_nodes == 3
     assert g.node_parent[2] == 1
-    assert g.node_label[2].parts == ((u, 1.0),)
+    assert g.node_label[2] == ((u, 1.0),)
     # the ball [0,1] split into [0,U], [U,1]
-    labels = sorted((lo, hi) for lo, hi, _ in g.ball_steps[1])
-    assert labels == [(0.0, u), (u, 1.0)]
+    cuts = g.cuts(1).tolist()
+    assert list(zip(cuts, cuts[1:])) == [(0.0, u), (u, 1.0)]
     # the low fragment cannot sit on the new vertex
-    low = [b for b in g.ball_steps[1] if b[0] == 0.0][0]
-    assert low[2] != 2
+    assert g.balls(1)[0] != 2
 
 
 def test_grand_invariants_many_runs():
     for seed in range(25):
         g = couplings.grand_run("edge", horizon=40, seed=seed)
         couplings.check_grand_invariants(g)
-        assert len(g.ball_steps[-1]) == 1 + g.horizon
+        assert len(g.balls(g.horizon)) == 1 + g.horizon
         assert couplings.vertex_count(g, 1.0, g.horizon) == 2 + g.horizon
         assert couplings.vertex_count(g, 0.0, g.horizon) == 2
 
@@ -135,8 +119,14 @@ def test_grand_invariants_many_runs():
 def test_grand_unique_ball_per_parameter():
     g = couplings.grand_run("edge", horizon=60, seed=3)
     for p in (0.21, 0.5, 0.83):
+        holding = g.nodes_holding(p, 60)
         for step in (0, 10, 60):
-            g.ball_holding(p, step)  # raises unless exactly one
+            cuts = g.cuts(step)
+            holders = np.flatnonzero((cuts[:-1] <= p) & (p <= cuts[1:]))
+            assert len(holders) == 1
+            assert holding[step] == g.balls(step)[holders[0]]
+    with pytest.raises(ValueError):
+        g.nodes_holding(float(g.uniforms[4]), 10)
 
 
 def test_extract_instance_xi_matches_uniform_indicators():
@@ -171,12 +161,14 @@ def test_coalescence_inclusion_and_frequency():
     p, q, n = 0.5, 0.55, 20
     runs = [couplings.grand_run("edge", horizon=n, seed=1000 + s)
             for s in range(600)]
-    est = couplings.coalescence_probability(runs, p, q, n)
-    assert est.inclusion_ok, "sufficient event must imply agreement"
-    assert est.lower_bound == pytest.approx(0.95 ** 20)
-    se = np.sqrt(est.lower_bound * (1 - est.lower_bound) / est.n_runs)
-    assert abs(est.sufficient_freq - est.lower_bound) < 3 * se
-    assert est.agree_freq >= est.sufficient_freq
+    agree = np.array([couplings.instances_agree_through(g, p, q, n) for g in runs])
+    suff = np.array([couplings.no_uniform_between(g, p, q, n) for g in runs])
+    assert np.all(agree | ~suff), "sufficient event must imply agreement"
+    lower_bound = (1.0 - abs(p - q)) ** n
+    assert lower_bound == pytest.approx(0.95 ** 20)
+    se = np.sqrt(lower_bound * (1 - lower_bound) / len(runs))
+    assert abs(suff.mean() - lower_bound) < 3 * se
+    assert agree.mean() >= suff.mean()
 
 
 def test_monotone_pair_bernoulli_floor_identical():

@@ -2,7 +2,7 @@
 
 The hashes pin the exact bytes of the CSV, JSONL and ``summary.json`` files
 that ``coupling-grand``, ``speed-curve`` and ``simulate`` write, and of
-``GrandRun.write_events_jsonl`` for a range of seeds.  A change to a
+``couplings.write_events_jsonl`` for a range of seeds.  A change to a
 construction, its RNG order, its queries or the replica fan-out that alters a
 byte fails here.  ``manifest.json`` is left out: it records the wall time.
 """
@@ -74,5 +74,6 @@ def test_experiment_artifacts_golden(tmp_path, experiment):
 @pytest.mark.parametrize("seed", range(10))
 def test_grand_run_events_golden(tmp_path, seed):
     path = tmp_path / "events.jsonl"
-    couplings.grand_run("edge", 60, seed).write_events_jsonl(path)
+    couplings.write_events_jsonl(couplings.grand_run("edge", 60, seed).events,
+                                 path)
     assert _sha256(path) == GRAND_RUN_EVENTS[seed]
