@@ -1,8 +1,8 @@
 """Benchmark the simulation kernel backends.
 
-Runs the same seeded workload through the numba-compiled loop and the pure
-numpy/Python fallback, verifies they produce identical trajectories, and
-prints a throughput table.
+Runs the same seeded workload through the C loop (``c``, built by gcc when
+``tbrw`` is imported) and the step-by-step Python loop (``python``), verifies
+they produce identical trajectories, and prints a throughput table.
 
 Usage: python benchmarks/bench_kernels.py [--horizon N] [--repeat K]
 """
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"active backend: {_kernels.BACKEND}; "
           f"available: {', '.join(backends)}")
 
-    # warm-up (numba compiles on first call)
+    # warm-up: first calls page in the library and numpy's code paths
     for fn in backends.values():
         fn(*build_args(1000, opts.p, 0))
 

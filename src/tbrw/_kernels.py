@@ -1,21 +1,34 @@
 """Hot simulation kernels.
 
 The per-step loop (attach leaves, jump to a uniform neighbor) dominates the
-runtime of every experiment, so it is compiled with numba when available.
-A fallback that runs the same loop step by step in Python, with
-bit-identical output, is selected by setting the environment variable
-``TBRW_NUMBA=0`` (or when numba is not importable).
-Both paths consume no randomness of their own: leaf counts and jump uniforms
-are precomputed arrays, which is what makes the two backends interchangeable
-and every run replayable.
+runtime of every experiment.  It has two backends with bit-identical output:
+
+* ``c``: ``_kernel.c``, built on first import by the system ``gcc`` with
+  ``-O2 -shared -fPIC`` into ``__pycache__/_kernel.<key>.so`` beside this
+  file, where the key hashes the source and the flags.  Later imports only
+  load the cached library with ctypes; forked pool workers inherit it.
+* ``python``: ``_simulate_python`` below, the same loop run step by step.  It
+  is the reference the C loop is tested against, and the fallback when gcc
+  is not on PATH, the build fails or the cache cannot be written;
+  ``FALLBACK_REASON`` then says which.
+
+``BACKEND`` names the backend ``simulate_loop`` runs.  Neither consumes
+randomness of its own: leaf counts and jump uniforms are precomputed arrays,
+which is what makes the two interchangeable and every run replayable.
 """
 
+import ctypes
+import hashlib
+import operator
 import os
+import shutil
+
+import numpy as np
 
 
-def _simulate_loop(parent, depth, birth, first_child, next_sibling, last_child,
-                   n_children, n_nodes, pos, xi, jump_u,
-                   positions, depths, leaf_flags):
+def _simulate_python(parent, depth, birth, first_child, next_sibling,
+                     last_child, n_children, n_nodes, pos, xi, jump_u,
+                     positions, depths, leaf_flags):
     """Advance the walk for ``len(xi) - 1`` steps, mutating the arena in place.
 
     Node arrays must be pre-sized to ``n_nodes + xi.sum()``; trajectory arrays
@@ -62,32 +75,125 @@ def _simulate_loop(parent, depth, birth, first_child, next_sibling, last_child,
     return free
 
 
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("TBRW_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
-_simulate_numpy = _simulate_loop
+def _build(gcc: str, lib_path: str) -> None:
+    """Compile ``_SOURCE`` to ``lib_path``; raises ``OSError`` on failure.
 
-if _env_wants_numba():
+    Each build writes its own temporary file and renames it into place, so
+    concurrent builds are safe.
+    """
+    import subprocess
+    import tempfile
+
+    os.makedirs(os.path.dirname(lib_path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(lib_path))
+    os.close(fd)
     try:
-        from numba import njit
+        try:
+            proc = subprocess.run([gcc, *_CFLAGS, "-o", tmp, _SOURCE],
+                                  capture_output=True, text=True, timeout=120)
+        except subprocess.TimeoutExpired as exc:
+            raise OSError(str(exc)) from None
+        if proc.returncode != 0:
+            raise OSError(f"gcc exited with {proc.returncode}: "
+                          + " ".join(proc.stderr.split())[:400])
+        os.replace(tmp, lib_path)  # readers see no file or a whole one
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
-        _simulate_numba = njit(cache=True, nogil=True)(_simulate_loop)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _simulate_numba = None
-        BACKEND = "numpy"
-else:
-    _simulate_numba = None
-    BACKEND = "numpy"
 
-simulate_loop = _simulate_numba if _simulate_numba is not None else _simulate_numpy
+def _load_c():
+    """Return ``(tbrw_simulate, None)``, or ``(None, why there is none)``."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return None, "gcc not found on PATH"
+    try:
+        with open(_SOURCE, "rb") as fh:
+            key = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode())
+        lib_path = os.path.join(os.path.dirname(_SOURCE), "__pycache__",
+                                f"_kernel.{key.hexdigest()[:16]}.so")
+        if not os.path.exists(lib_path):
+            _build(gcc, lib_path)
+        fn = ctypes.CDLL(lib_path).tbrw_simulate
+    except OSError as exc:
+        return None, f"C kernel build failed: {exc}"
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = [ptr] * 7 + [i64] * 3 + [ptr] * 5
+    fn.restype = i64
+    return fn, None
+
+
+_c_simulate, FALLBACK_REASON = _load_c()
+
+_INT64, _FLOAT64, _BOOL = (np.dtype(np.int64), np.dtype(np.float64),
+                           np.dtype(np.bool_))
+_NODE_ARRAYS = ("parent", "depth", "birth", "first_child", "next_sibling",
+                "last_child", "n_children")
+
+
+def _address(name, a, dtype, length=None, writable=True) -> int:
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+            and a.flags.c_contiguous and (a.flags.writeable or not writable)):
+        raise ValueError(f"{name}: need a {'writable ' if writable else ''}"
+                         f"C-contiguous 1-d {dtype} array")
+    if length is not None and len(a) != length:
+        raise ValueError(f"{name}: length {len(a)}, need {length}")
+    return a.ctypes.data
+
+
+def _simulate_c(parent, depth, birth, first_child, next_sibling, last_child,
+                n_children, n_nodes, pos, xi, jump_u,
+                positions, depths, leaf_flags):
+    """``_simulate_python`` in C, after checking every input the C code trusts.
+
+    Raises ``ValueError`` before the call when an array has the wrong dtype,
+    shape, layout or length, when ``pos`` is not one of the ``n_nodes``
+    existing nodes, or when a leaf count is negative or a jump uniform lies
+    outside [0, 1).  The C loop checks each link it follows, and a link to
+    no existing node (an arena ``engine`` did not build) raises too.
+    """
+    nodes = (parent, depth, birth, first_child, next_sibling, last_child,
+             n_children)
+    node_ptrs = [_address(name, a, _INT64)
+                 for name, a in zip(_NODE_ARRAYS, nodes)]
+    xi_ptr = _address("xi", xi, _INT64, writable=False)
+    steps = len(xi)
+    u_ptr = _address("jump_u", jump_u, _FLOAT64, steps, writable=False)
+    traj_ptrs = [_address("positions", positions, _INT64, steps),
+                 _address("depths", depths, _INT64, steps),
+                 _address("leaf_flags", leaf_flags, _BOOL, steps)]
+    if steps < 1:
+        raise ValueError("xi: need at least one entry")
+    n_nodes, pos = operator.index(n_nodes), operator.index(pos)
+    if not 0 <= pos < n_nodes:
+        raise ValueError(f"pos {pos} is not one of the {n_nodes} nodes")
+    capacity = min(len(a) for a in nodes)
+    # with each count at most the capacity, the int64 sum of arrays that fit
+    # in memory cannot wrap
+    if xi.min() < 0 or xi.max() > capacity \
+            or n_nodes + int(xi.sum()) > capacity:
+        raise ValueError(f"xi: need counts >= 0 that fit {capacity} node "
+                         f"slots after the {n_nodes} existing nodes")
+    if not (jump_u.min() >= 0.0 and jump_u.max() < 1.0):  # NaN fails too
+        raise ValueError("jump_u: every value must lie in [0, 1)")
+    final = _c_simulate(*node_ptrs, n_nodes, pos, steps - 1, xi_ptr, u_ptr,
+                        *traj_ptrs)
+    if final == -2:
+        raise ValueError("arena: a link names a node that does not exist")
+    return final
+
+
+BACKEND = "c" if _c_simulate is not None else "python"
+simulate_loop = _simulate_c if _c_simulate is not None else _simulate_python
 
 
 def available_backends() -> dict:
     """Map backend name -> callable, for benchmarks and equivalence tests."""
-    backends = {"numpy": _simulate_numpy}
-    if _simulate_numba is not None:
-        backends["numba"] = _simulate_numba
+    backends = {"python": _simulate_python}
+    if _c_simulate is not None:
+        backends["c"] = _simulate_c
     return backends

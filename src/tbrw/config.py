@@ -66,12 +66,16 @@ def _require_number(x, path: str, lo: float, hi: float, integer=False) -> None:
                    f"in [{lo}, {hi}]")
 
 
-def _check_grand_params(params: dict, horizon: int) -> None:
-    unit, step, count = (0.0, 1.0), (1, horizon, True), (1, math.inf, True)
+def _check_p_grid(params: dict) -> None:
     p_grid = params.get("p_grid", [])
     _require(isinstance(p_grid, list), "params.p_grid", "must be a list")
     for i, p in enumerate(p_grid):
-        _require_number(p, f"params.p_grid[{i}]", *unit)
+        _require_number(p, f"params.p_grid[{i}]", 0.0, 1.0)
+
+
+def _check_grand_params(params: dict, horizon: int) -> None:
+    unit, step, count = (0.0, 1.0), (1, horizon, True), (1, math.inf, True)
+    _check_p_grid(params)
     for name, fields in (("coalescence", {"p": unit, "q": unit, "n": step}),
                          ("marginal", {"p": unit, "steps": step,
                                        "replicas": count})):
@@ -141,6 +145,8 @@ def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
     _require(isinstance(params, dict), "params", "must be an object")
     if experiment == "coupling-grand":
         _check_grand_params(params, horizon)
+    elif experiment == "speed-curve":
+        _check_p_grid(params)
     return ExperimentConfig(
         experiment=experiment, master_seed=merged["seed"],
         out_dir=str(merged.get("out", "out")), horizon=horizon,
@@ -156,6 +162,16 @@ def derive_seed(master_seed: int, experiment: str, replica: int, role: str = "")
 
 @dataclass
 class RunManifest:
+    """What a finished run writes to ``manifest.json``, enough to replay it.
+
+    ``replica_seeds`` lists the stream seeds in the order the runner uses
+    them, at most 10,000: one per replica for most experiments; for
+    ``speed-curve`` the replicas of the first ``p_grid`` value, then those of
+    the next (role ``p=<p>``); for ``counterexample`` the pilot seed, then
+    one seed per evaluation replica.  ``backend`` is the step kernel that ran
+    (``"c"`` or ``"python"``) and ``fallback_reason`` why it is not ``"c"``.
+    """
+
     config: dict
     config_hash: str
     resolved_schedule: Optional[dict]
@@ -163,6 +179,8 @@ class RunManifest:
     replica_seeds: list
     wall_time_s: float
     outputs: list
+    backend: str
+    fallback_reason: Optional[str]
 
     def write(self, path) -> None:
         with open(path, "w") as fh:

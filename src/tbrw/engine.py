@@ -8,7 +8,6 @@ a deterministic function of (initial state, schedule, horizon, seed).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,6 +20,9 @@ ENGINE_VERSION = "0.1.0"
 
 # final trees larger than this are dropped from trajectories unless asked for
 SNAPSHOT_NODE_LIMIT = 1_000_000
+
+# rows formatted per write by trajectory_to_csv
+CSV_BLOCK_ROWS = 65_536
 
 
 class SimulationError(ValueError):
@@ -326,14 +328,21 @@ def run(initial, schedule, horizon: int, seed: int,
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write ``step,position,depth,xi,leaf_at_arrival`` rows plus a JSON sidecar."""
+    """Write ``step,position,depth,xi,leaf_at_arrival`` rows plus a JSON sidecar.
+
+    The rows are CRLF-terminated, as ``csv.writer`` writes them, and are
+    formatted one block at a time so no whole column becomes Python ints.
+    """
     path = str(path)
+    columns = (traj.positions, traj.depths, traj.xi, traj.leaf_at_arrival)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "position", "depth", "xi", "leaf_at_arrival"])
-        for n in range(traj.horizon + 1):
-            w.writerow([n, int(traj.positions[n]), int(traj.depths[n]),
-                        int(traj.xi[n]), int(traj.leaf_at_arrival[n])])
+        fh.write("step,position,depth,xi,leaf_at_arrival\r\n")
+        for lo in range(0, traj.horizon + 1, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, traj.horizon + 1)
+            block = np.column_stack([np.arange(lo, hi)]
+                                    + [c[lo:hi] for c in columns])
+            fh.write("%d,%d,%d,%d,%d\r\n" * (hi - lo)
+                     % tuple(block.ravel().tolist()))
     sidecar = path[:-4] + ".json" if path.endswith(".csv") else path + ".json"
     with open(sidecar, "w") as fh:
         json.dump(traj.manifest(), fh, indent=2, sort_keys=True)

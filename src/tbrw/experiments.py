@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from . import couplings, engine, estimators, schedules, stopping
+from . import _kernels, couplings, engine, estimators, schedules, stopping
 from .config import ExperimentConfig, RunManifest, derive_seed
 
 
@@ -79,14 +79,34 @@ def _jsonable(x):
 
 
 # stream role of the replica seeds, "run" unless listed; speed-curve and
-# counterexample derive theirs per p and per phase instead
+# counterexample derive theirs per p and per phase instead (see _run_seeds)
 _SEED_ROLES = {"coupling-grand": "grand", "coupling-tv": "pair",
                "coupling-monotone": "pair"}
 
 
+def _seed(cfg: ExperimentConfig, replica: int, role: str) -> int:
+    return derive_seed(cfg.master_seed, cfg.experiment, replica, role)
+
+
 def _replica_seed(cfg: ExperimentConfig, replica: int) -> int:
-    return derive_seed(cfg.master_seed, cfg.experiment, replica,
-                       _SEED_ROLES.get(cfg.experiment, "run"))
+    return _seed(cfg, replica, _SEED_ROLES.get(cfg.experiment, "run"))
+
+
+def _p_role(p: float) -> str:
+    return f"p={p!r}"
+
+
+def _run_seeds(cfg: ExperimentConfig):
+    """Every replica seed the runner derives, in the order RunManifest states."""
+    if cfg.experiment == "speed-curve":
+        return (_seed(cfg, r, _p_role(p))
+                for p in map(float, cfg.params.get("p_grid") or [])
+                for r in range(cfg.replicas))
+    if cfg.experiment == "counterexample":
+        evals = int(cfg.params.get("eval_replicas", 100))
+        return itertools.chain([_seed(cfg, 0, "pilot")],
+                               (_seed(cfg, r, "eval") for r in range(evals)))
+    return (_replica_seed(cfg, r) for r in range(cfg.replicas))
 
 
 def _resolve_schedule(cfg: ExperimentConfig, default: Optional[dict] = None):
@@ -307,8 +327,8 @@ def _run_speed_curve(cfg: ExperimentConfig, out: str) -> list:
         raise ExperimentError("params.p_grid: required for speed-curve")
     points = []
     for p in map(float, p_grid):
-        args = [(derive_seed(cfg.master_seed, cfg.experiment, r, f"p={p!r}"),
-                 p, cfg.horizon) for r in range(cfg.replicas)]
+        args = [(_seed(cfg, r, _p_role(p)), p, cfg.horizon)
+                for r in range(cfg.replicas)]
         finals = _map_replicas(_task_final_depth, args, cfg.workers)
         v = np.asarray(finals, dtype=np.float64) / cfg.horizon
         points.append(estimators.SpeedCurvePoint(
@@ -478,7 +498,7 @@ def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
         direct = np.empty(int(marg["replicas"]))
         sched = schedules.bernoulli(float(marg["p"]))
         for i in range(len(direct)):
-            s = derive_seed(cfg.master_seed, cfg.experiment, i, "direct")
+            s = _seed(cfg, i, "direct")
             direct[i] = engine.run("edge", sched, int(marg["steps"]), s,
                                    keep_tree=False).depths[-1]
         ks = stats.ks_2samp(extracted, direct)
@@ -569,10 +589,11 @@ def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
         replicas=int(pilot_cfg.get("replicas", 64)),
         slack=float(pilot_cfg.get("slack", 0.01)),
         gap_fraction=float(pilot_cfg.get("gap_fraction", 0.125)),
-        seed=derive_seed(cfg.master_seed, cfg.experiment, 0, "pilot"),
+        seed=_seed(cfg, 0, "pilot"),
         step_budget=int(pilot_cfg.get("step_budget", 4_000_000)),
         reference_horizon=int(pilot_cfg.get("reference_horizon", 4000)))
     sched, checkpoints = schedules.build_alternating(p, q, j_max, pilot)
+    cfg.resolved_schedule = sched.descriptor()
     v_slow = schedules.pilot_speed(p, pilot, salt=1)
     v_fast = schedules.pilot_speed(q, pilot, salt=2)
 
@@ -581,7 +602,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
     depth_sum = np.zeros(horizon + 1, dtype=np.float64)
     depth_sq = np.zeros(horizon + 1, dtype=np.float64)
     for r in range(eval_replicas):
-        s = derive_seed(cfg.master_seed, cfg.experiment, r, "eval")
+        s = _seed(cfg, r, "eval")
         traj = engine.run("edge", sched, horizon, s, keep_tree=False)
         depth_sum += traj.depths
         depth_sq += traj.depths.astype(np.float64) ** 2
@@ -656,10 +677,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         config_hash=cfg.hash(),
         resolved_schedule=cfg.resolved_schedule,
         engine_version=engine.ENGINE_VERSION,
-        replica_seeds=[_replica_seed(cfg, r)
-                       for r in range(min(cfg.replicas, 10_000))],
+        replica_seeds=list(itertools.islice(_run_seeds(cfg), 10_000)),
         wall_time_s=round(time.monotonic() - start, 3),
         outputs=sorted(outputs),
+        backend=_kernels.BACKEND,
+        fallback_reason=_kernels.FALLBACK_REASON,
     )
     manifest.write(os.path.join(out, "manifest.json"))
     return manifest

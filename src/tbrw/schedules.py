@@ -78,8 +78,13 @@ class LeafLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if len(self.support) == 1:
             return np.full(size, self.support[0], dtype=np.int64)
+        u = rng.random(size)
+        if len(self.support) == 2:
+            # equals the searchsorted index below, clipped to 1, exactly
+            lo, hi = self.support
+            return lo + (hi - lo) * (u >= self.probs[0]).astype(np.int64)
         cum = np.cumsum(self.probs)
-        idx = np.searchsorted(cum, rng.random(size), side="right")
+        idx = np.searchsorted(cum, u, side="right")
         idx = np.minimum(idx, len(self.support) - 1)
         return np.asarray(self.support, dtype=np.int64)[idx]
 

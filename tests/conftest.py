@@ -6,7 +6,8 @@ from tbrw import engine, schedules
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernel():
-    # trigger numba compilation once so per-test timings stay honest
+    # importing tbrw builds or loads the C kernel; one short run here keeps
+    # first-call costs out of the first test's timing
     engine.run("edge", schedules.bernoulli(0.5), 8, seed=0)
 
 

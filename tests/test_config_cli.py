@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from tbrw import cli, config, couplings, schedules
+from tbrw import _kernels, cli, config, couplings, engine, schedules
 from tbrw.config import ConfigError, derive_seed, parse_config
 from tbrw.experiments import run_experiment
 
@@ -99,6 +100,9 @@ def test_manifest_contents(tmp_path):
     assert on_disk["config_hash"] == cfg.hash() == manifest.config_hash
     assert on_disk["engine_version"] == "0.1.0"
     assert on_disk["replica_seeds"] == [derive_seed(4, "simulate", 0, "run")]
+    assert on_disk["backend"] == _kernels.BACKEND in ("c", "python")
+    assert on_disk["fallback_reason"] == _kernels.FALLBACK_REASON
+    assert (on_disk["fallback_reason"] is None) == (on_disk["backend"] == "c")
     assert set(on_disk["outputs"]) <= {"trajectory.csv", "trajectory.json",
                                        "renewals.csv", "summary.json"}
 
@@ -138,6 +142,7 @@ GRAND_PARAMS = {"p_grid": [0.0, 0.5, 1.0],
      "ConfigError"),
     ("tail", {}, "InsufficientBlocksError"),
     ("counterexample", {"p": 0.9, "q": 0.2}, "ScheduleError"),
+    ("speed-curve", {"p_grid": [0.5, 1.5]}, "ConfigError"),
 ])
 def test_cli_params_failure_is_one_json_line(tmp_path, capsys, experiment,
                                              params, error):
@@ -150,6 +155,8 @@ def test_cli_params_failure_is_one_json_line(tmp_path, capsys, experiment,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+    if error == "ConfigError":  # rejected before the runner, so nothing ran
+        assert not (tmp_path / "run").exists()
 
 
 def test_manifest_seeds_replay_coupling_runs(tmp_path):
@@ -173,6 +180,38 @@ def test_manifest_seeds_replay_coupling_runs(tmp_path):
     for row, seed in zip(rows, manifest["replica_seeds"]):
         zeta = couplings.tv_coupled_run(*laws, 30, seed).split_time
         assert row.split(",")[1] == ("" if zeta is None else str(zeta))
+
+
+def test_manifest_seeds_replay_speed_curve_and_counterexample(tmp_path):
+    curve_out, counter_out = tmp_path / "curve", tmp_path / "counter"
+    run_experiment(parse_config({
+        "experiment": "speed-curve", "seed": 7, "horizon": 40, "replicas": 2,
+        "params": {"p_grid": [0.2, 0.7]}, "out": str(curve_out)}))
+    manifest = json.loads((curve_out / "manifest.json").read_text())
+    seeds = manifest["replica_seeds"]
+    assert len(seeds) == 4  # p-major: both p = 0.2 replicas, then p = 0.7's
+    finals = [engine.run("edge", schedules.bernoulli(0.7), 40, s).depths[-1]
+              for s in seeds[2:]]
+    v_hat = (np.asarray(finals, dtype=np.float64) / 40).mean()
+    point = json.loads((curve_out / "summary.json").read_text())["points"][1]
+    assert point["p"] == 0.7 and point["v_hat"] == float(v_hat)
+
+    pilot = {"replicas": 4, "reference_horizon": 300, "step_budget": 200_000}
+    run_experiment(parse_config({
+        "experiment": "counterexample", "seed": 7,
+        "params": {"p": 0.2, "q": 0.9, "j_max": 2, "pilot": pilot,
+                   "eval_replicas": 1},
+        "out": str(counter_out)}))
+    manifest = json.loads((counter_out / "manifest.json").read_text())
+    pilot_seed, eval_seed = manifest["replica_seeds"]
+    sched, checkpoints = schedules.build_alternating(
+        0.2, 0.9, 2, schedules.PilotConfig(seed=pilot_seed, **pilot))
+    assert sched.descriptor() == manifest["resolved_schedule"]
+    traj = engine.run("edge", schedules.schedule_from_json(
+        manifest["resolved_schedule"]), checkpoints[-1], eval_seed)
+    rows = json.loads((counter_out / "summary.json").read_text())["rows"]
+    assert [row["mean_relative_depth"] for row in rows] == \
+        [float(traj.depths[k]) / k for k in checkpoints]
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -1,7 +1,15 @@
+import json
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from tbrw import _kernels, engine
+from tbrw import _kernels, engine, schedules
+from tbrw.config import parse_config
+from tbrw.experiments import run_experiment
 
 
 def _kernel_args(horizon, p, seed):
@@ -28,42 +36,165 @@ def _kernel_args(horizon, p, seed):
             pos_arr, dep_arr, flags]
 
 
+def _engine_args(initial, schedule, horizon, seed):
+    # the arena engine.run_arrays builds, on the stream engine.run draws
+    state = engine.make_initial(initial)
+    rng = np.random.default_rng(seed)
+    xi, _ = schedule.sample_array(horizon, rng)
+    jump_u = rng.random(horizon + 1)
+    arrays = engine._state_to_arrays(state, state.tree.node_count + int(xi.sum()))
+    return [*arrays, state.tree.node_count, state.position, xi, jump_u,
+            np.zeros(horizon + 1, dtype=np.int64),
+            np.zeros(horizon + 1, dtype=np.int64),
+            np.zeros(horizon + 1, dtype=np.bool_)]
+
+
+def _isolated_args():
+    args = _kernel_args(3, 0.0, 0)
+    # single vertex, no neighbors: node arrays describe one root, walker on it
+    for i, value in enumerate((-1, 0, 0, -1, -1, -1, 0)):
+        args[i] = np.array([value], dtype=np.int64)
+    args[7] = 1
+    args[8] = 0
+    return args
+
+
+def _outputs(fn, args):
+    return fn(*args), [a.copy() for a in args if isinstance(a, np.ndarray)]
+
+
+def _c_backend():
+    # a silent fallback to the Python loop must not pass where gcc exists
+    fn = _kernels.available_backends().get("c")
+    if fn is None:
+        assert shutil.which("gcc") is None, \
+            f"gcc is on PATH but the C kernel is missing: {_kernels.FALLBACK_REASON}"
+        pytest.skip(f"no C backend: {_kernels.FALLBACK_REASON}")
+    return fn
+
+
+LAWS = {
+    "bernoulli": schedules.bernoulli(0.6),
+    "0-1-3": schedules.iid(schedules.LeafLaw((0, 1, 3), (0.25, 0.25, 0.5))),
+    "decaying": schedules.decaying(0.75),
+}
+INITIALS = ["edge", "vertex",
+            {"parents": [None, 0, 0, 1, 1, 2], "walker": 4},
+            {"parents": [None, 0, 1, 2], "walker": 0}]
+
+
 def test_backends_bit_identical():
-    backends = _kernels.available_backends()
-    if len(backends) < 2:
-        pytest.skip("only one backend available in this environment")
-    for seed in range(25):
-        outs = {}
-        for name, fn in backends.items():
-            args = _kernel_args(200, 0.6, seed)
-            n_final = fn(*args)
-            outs[name] = (n_final, args[11].copy(), args[12].copy(),
-                          args[13].copy(), args[0].copy())
-        ref = outs.pop("numpy")
-        for name, got in outs.items():
-            assert got[0] == ref[0]
-            for a, b in zip(got[1:], ref[1:]):
-                assert np.array_equal(a, b), f"{name} diverged from numpy"
+    c_fn = _c_backend()
+    for law in LAWS.values():
+        for seed in range(25):
+            for initial in INITIALS:
+                for horizon in (1, 2, 37, 400):
+                    ref = _outputs(_kernels._simulate_python,
+                                   _engine_args(initial, law, horizon, seed))
+                    got = _outputs(c_fn, _engine_args(initial, law, horizon, seed))
+                    assert got[0] == ref[0]
+                    for a, b in zip(got[1], ref[1]):
+                        assert np.array_equal(a, b), (law, seed, initial, horizon)
 
 
 def test_backend_flag_reports():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert "numpy" in _kernels.available_backends()
+    backends = _kernels.available_backends()
+    assert _kernels.BACKEND in ("c", "python")
+    assert set(backends) == {"python", _kernels.BACKEND}
+    assert backends[_kernels.BACKEND] is _kernels.simulate_loop
+    assert (_kernels.FALLBACK_REASON is None) == (_kernels.BACKEND == "c")
 
 
 def test_isolated_walker_flagged():
-    args = _kernel_args(3, 0.0, 0)
-    # single vertex, no neighbors: node arrays describe one root, walker on it
-    args[0] = np.array([-1], dtype=np.int64)
-    args[1] = np.array([0], dtype=np.int64)
-    args[2] = np.array([0], dtype=np.int64)
-    args[3] = np.array([-1], dtype=np.int64)
-    args[4] = np.array([-1], dtype=np.int64)
-    args[5] = np.array([-1], dtype=np.int64)
-    args[6] = np.array([0], dtype=np.int64)
-    args[7] = 1
-    args[8] = 0
-    assert _kernels._simulate_numpy(*args) == -1
+    for fn in _kernels.available_backends().values():
+        args = _isolated_args()
+        assert fn(*args) == -1
+        assert args[11][0] == 0 and args[12][0] == 0 and not args[13][0]
+
+
+def _bad(i, value):
+    def mutate(args):
+        args[i] = value(args[i]) if callable(value) else value
+    return mutate
+
+
+BAD_INPUTS = {
+    "node dtype int32": _bad(0, lambda a: a.astype(np.int32)),
+    "node array not contiguous": _bad(3, lambda a: np.repeat(a, 2)[::2]),
+    "node array read-only": _bad(6, lambda a: np.frombuffer(a.tobytes(), np.int64)),
+    "node array 2-d": _bad(1, lambda a: a.reshape(1, -1)),
+    "node array a list": _bad(2, lambda a: a.tolist()),
+    "node arrays too short": _bad(4, lambda a: a[:-1].copy()),
+    "xi dtype float": _bad(9, lambda a: a.astype(np.float64)),
+    "jump_u dtype float32": _bad(10, lambda a: a.astype(np.float32)),
+    "leaf_flags dtype uint8": _bad(13, lambda a: a.astype(np.uint8)),
+    "positions too short": _bad(11, lambda a: a[:-1].copy()),
+    "depths too long": _bad(12, lambda a: np.zeros(len(a) + 1, np.int64)),
+    "jump_u too short": _bad(10, lambda a: a[:-1].copy()),
+    "pos negative": _bad(8, -1),
+    "pos past the nodes": _bad(8, 2),
+    "n_nodes past the arena": _bad(7, 10_000),
+    "xi negative": _bad(9, lambda a: np.where(np.arange(len(a)) == 3, -1, a)),
+    "xi too large": _bad(9, lambda a: a + 1),
+    "xi sum wraps around": _bad(9, lambda a: np.where(
+        (np.arange(len(a)) >= 1) & (np.arange(len(a)) <= 4), 2 ** 62, a)),
+    "jump_u equal to 1": _bad(10, lambda a: np.where(np.arange(len(a)) == 5, 1.0, a)),
+    "jump_u negative": _bad(10, lambda a: -a),
+    "jump_u NaN": _bad(10, lambda a: np.where(np.arange(len(a)) == 2, np.nan, a)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_c_wrapper_rejects_bad_input_before_the_call(case, monkeypatch):
+    c_fn = _c_backend()
+    assert c_fn(*_kernel_args(40, 0.5, 1)) >= 2  # the unmodified input runs
+
+    def must_not_run(*a):
+        raise AssertionError("C was called")
+
+    monkeypatch.setattr(_kernels, "_c_simulate", must_not_run)
+    args = _kernel_args(40, 0.5, 1)
+    BAD_INPUTS[case](args)
+    with pytest.raises(ValueError):
+        c_fn(*args)
+
+
+def test_c_loop_rejects_links_to_missing_nodes():
+    c_fn = _c_backend()
+    args = _isolated_args()
+    args[3][0] = args[5][0] = 5  # the root's child "5" does not exist
+    args[6][0] = 1
+    with pytest.raises(ValueError, match="link"):
+        c_fn(*args)
+    args = _kernel_args(40, 0.5, 1)
+    c_fn(*args)
+    with pytest.raises(ValueError, match="link"):
+        c_fn(*args)  # the arena now links to nodes the rerun has not made
+
+
+def test_python_fallback_without_gcc(tmp_path):
+    # a copy of the package with no build cache and gcc hidden from PATH runs
+    # the CLI on the Python loop, says why, and writes the same artifacts
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    shutil.copytree(os.path.join(src, "tbrw"), tmp_path / "tbrw",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    config = {"experiment": "simulate", "seed": 3, "horizon": 300,
+              "schedule": {"kind": "bernoulli", "p": 0.5}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    env = dict(os.environ, PATH=str(tmp_path / "no-bin"),
+               PYTHONPATH=str(tmp_path))
+    subprocess.run([sys.executable, "-m", "tbrw.cli", "simulate", "--config",
+                    str(tmp_path / "cfg.json"), "--out", str(tmp_path / "py")],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert not list((tmp_path / "tbrw").rglob("*.so"))
+    manifest = json.loads((tmp_path / "py" / "manifest.json").read_text())
+    assert manifest["backend"] == "python"
+    assert manifest["fallback_reason"] == "gcc not found on PATH"
+
+    run_experiment(parse_config({**config, "out": str(tmp_path / "here")}))
+    for name in manifest["outputs"]:
+        assert (tmp_path / "py" / name).read_bytes() == \
+            (tmp_path / "here" / name).read_bytes(), name
 
 
 def test_engine_matches_stepwise_reference():

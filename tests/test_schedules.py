@@ -45,6 +45,20 @@ def test_iid_two_point_support(rng):
     assert abs((xi[1:] == 2).mean() - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("support, p0", [
+    ((0, 1), 0.5), ((0, 1), 0.7), ((0, 1), 1e-9), ((0, 1), 1 - 1e-9),
+    ((0, 1), 0.1 + 0.2), ((2, 7), 0.35), ((0, 1), 0.0), ((0, 1), 1.0)])
+def test_two_point_sample_matches_searchsorted(support, p0):
+    # the u >= probs[0] fast path against the general inverse-CDF lookup
+    law = LeafLaw(support=support, probs=(p0, 1.0 - p0))
+    for size in (0, 1, 7, 100_000):
+        got = law.sample(np.random.default_rng(size), size)
+        u = np.random.default_rng(size).random(size)
+        idx = np.minimum(np.searchsorted(np.cumsum(law.probs), u, side="right"), 1)
+        want = np.asarray(law.support, dtype=np.int64)[idx]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_iid_independence_factorizes(rng):
     xi, _ = schedules.bernoulli(0.5).sample_array(200_000, rng)
     a, b = xi[1:-1], xi[2:]
