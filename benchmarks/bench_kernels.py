@@ -1,18 +1,25 @@
 """Benchmark the simulation kernel backends.
 
-Runs the same seeded workload through the C loop (``c``, built by gcc when
-``tbrw`` is imported) and the step-by-step Python loop (``python``), verifies
-they produce identical trajectories, and prints a throughput table.
+Runs the same seeded workloads through the C loops (``c``, built by gcc when
+``tbrw`` is imported) and the step-by-step Python loops (``python``),
+verifies they produce identical outputs, and prints throughput tables: the
+walk's step loop on one long walk, then ``couplings.grand_run`` (the grand
+coupling's swarm) at each grand horizon, the Python loop only up to
+horizon 800.
 
 Usage: python benchmarks/bench_kernels.py [--horizon N] [--repeat K]
+           [--grand-horizons H [H ...]]
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
 
-from tbrw import _kernels, engine, schedules
+from tbrw import _kernels, couplings, engine, schedules
+
+PYTHON_GRAND_MAX = 800
 
 
 def build_args(horizon: int, p: float, seed: int):
@@ -29,11 +36,45 @@ def build_args(horizon: int, p: float, seed: int):
             positions, depths, flags]
 
 
+def bench_grand(horizons, repeat: int) -> None:
+    """Time ``grand_run("edge", horizon, 1)`` per backend; the runs of one
+    horizon must agree on every array."""
+    active = _kernels.grand_loop
+    print(f"\ngrand_run, seed 1 (best of {repeat}):")
+    print(f"{'horizon':>8} {'backend':<10} {'seconds':>10} {'nodes':>10}")
+    try:
+        for horizon in horizons:
+            reference = None
+            for name, fn in _kernels.available_backends("grand").items():
+                if name == "python" and horizon > PYTHON_GRAND_MAX:
+                    continue
+                _kernels.grand_loop = fn
+                best = float("inf")
+                for _ in range(repeat):
+                    t0 = time.perf_counter()
+                    grand = couplings.grand_run("edge", horizon, 1)
+                    best = min(best, time.perf_counter() - t0)
+                arrays = [getattr(grand, f.name)
+                          for f in dataclasses.fields(grand)]
+                if reference is None:
+                    reference = arrays
+                else:
+                    assert all(np.array_equal(a, b)
+                               for a, b in zip(arrays, reference)), \
+                        f"backends disagree on grand_run at horizon {horizon}"
+                print(f"{horizon:>8} {name:<10} {best:>10.3f} "
+                      f"{grand.n_nodes:>10,}")
+    finally:
+        _kernels.grand_loop = active
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizon", type=int, default=2_000_000)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--p", type=float, default=0.5)
+    parser.add_argument("--grand-horizons", type=int, nargs="+",
+                        default=[200, 800, 2000])
     opts = parser.parse_args()
 
     backends = _kernels.available_backends()
@@ -70,6 +111,7 @@ def main() -> None:
         slow = max(r[1] for r in rows)
         fast = min(r[1] for r in rows)
         print(f"\nspeedup: {slow / fast:.1f}x (outputs bit-identical)")
+    bench_grand(opts.grand_horizons, opts.repeat)
 
 
 if __name__ == "__main__":

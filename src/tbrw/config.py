@@ -66,28 +66,89 @@ def _require_number(x, path: str, lo: float, hi: float, integer=False) -> None:
                    f"in [{lo}, {hi}]")
 
 
-def _check_p_grid(params: dict) -> None:
-    p_grid = params.get("p_grid", [])
-    _require(isinstance(p_grid, list), "params.p_grid", "must be a list")
-    for i, p in enumerate(p_grid):
-        _require_number(p, f"params.p_grid[{i}]", 0.0, 1.0)
+def _number(lo: float, hi: float, integer=False):
+    return lambda x, path: _require_number(x, path, lo, hi, integer)
 
 
-def _check_grand_params(params: dict, horizon: int) -> None:
-    unit, step, count = (0.0, 1.0), (1, horizon, True), (1, math.inf, True)
-    _check_p_grid(params)
-    for name, fields in (("coalescence", {"p": unit, "q": unit, "n": step}),
-                         ("marginal", {"p": unit, "steps": step,
-                                       "replicas": count})):
-        block = params.get(name)
-        if block is None:
-            continue
-        _require(isinstance(block, dict), f"params.{name}", "must be an object")
-        for key, bounds in fields.items():
-            _require(key in block, f"params.{name}.{key}", "is required")
-            _require_number(block[key], f"params.{name}.{key}", *bounds)
-    batches = (params.get("coalescence") or {}).get("batches", 1)
-    _require_number(batches, "params.coalescence.batches", *count)
+def _positive(hi: float):
+    return lambda x, path: _require(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x <= hi,
+        path, f"must be a number in (0, {hi}]")
+
+
+def _list(item, length: Optional[int] = None, nonempty=False):
+    def check(x, path: str) -> None:
+        _require(isinstance(x, list) and (length is None or len(x) == length)
+                 and (x or not nonempty), path,
+                 f"must be a {'nonempty ' if nonempty else ''}list"
+                 + (f" of {length}" if length is not None else ""))
+        for i, value in enumerate(x):
+            item(value, f"{path}[{i}]")
+    return check
+
+
+def _block(fields: dict, required=()):
+    """An object whose keys are all in ``fields``, each mapped to a check."""
+    def check(x, path: str) -> None:
+        _require(isinstance(x, dict), path, "must be an object")
+        for key in required:
+            _require(key in x, f"{path}.{key}", "is required")
+        for key, value in x.items():
+            _require(key in fields, f"{path}.{key}", "is not a parameter here")
+            fields[key](value, f"{path}.{key}")
+    return check
+
+
+def _law(x, path: str) -> None:
+    from .schedules import LeafLaw
+    try:
+        LeafLaw.from_dict(x)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a leaf law ({exc!r})") from None
+
+
+def _initial(x, path: str) -> None:
+    from .engine import make_initial
+    try:
+        make_initial(x)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not an initial tree ({exc!r})") from None
+
+
+def _band(x, path: str) -> None:
+    _list(_number(-math.inf, math.inf), 2)(x, path)
+    _require(x[0] <= x[1], path, "must be [low, high] with low <= high")
+
+
+def _params_schema(experiment: str, horizon: int):
+    """The check of ``params`` for one experiment: every key it reads."""
+    unit, step, count = _number(0.0, 1.0), _number(1, horizon, True), \
+        _number(1, math.inf, True)
+    p_grid = _list(unit, nonempty=experiment == "speed-curve")
+    pilot = _block({"replicas": count, "slack": _number(0.0, math.inf),
+                    "gap_fraction": unit, "step_budget": count,
+                    "reference_horizon": count})
+    return _block({
+        "simulate": {"initial": _initial},
+        "renewal-stats": {"initial": _initial},
+        "speed-curve": {"p_grid": p_grid},
+        "degree-dist": {"gamma": _positive(math.inf)},
+        "tail": {},
+        "clt": {},
+        "lil": {"n_min": step, "band": _band},
+        "coupling-grand": {
+            "p_grid": p_grid,
+            "coalescence": _block({"p": unit, "q": unit, "n": step,
+                                   "batches": count}, ("p", "q", "n")),
+            "marginal": _block({"p": unit, "steps": step, "replicas": count},
+                               ("p", "steps", "replicas"))},
+        "coupling-tv": {"law_a": _law, "law_b": _law},
+        "coupling-monotone": {"law": _law, "p_floor": _positive(1.0),
+                              "initial": _initial,
+                              "target": _number(0, math.inf, True)},
+        "counterexample": {"p": unit, "q": unit, "j_max": count,
+                           "eval_replicas": count, "pilot": pilot},
+    }[experiment], ("p_grid",) if experiment == "speed-curve" else ())
 
 
 def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -142,11 +203,7 @@ def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
         except ScheduleError as exc:
             raise ConfigError(f"schedule: {exc}") from None
     params = merged.get("params", {})
-    _require(isinstance(params, dict), "params", "must be an object")
-    if experiment == "coupling-grand":
-        _check_grand_params(params, horizon)
-    elif experiment == "speed-curve":
-        _check_p_grid(params)
+    _params_schema(experiment, horizon)(params, "params")
     return ExperimentConfig(
         experiment=experiment, master_seed=merged["seed"],
         out_dir=str(merged.get("out", "out")), horizon=horizon,
@@ -168,7 +225,9 @@ class RunManifest:
     them, at most 10,000: one per replica for most experiments; for
     ``speed-curve`` the replicas of the first ``p_grid`` value, then those of
     the next (role ``p=<p>``); for ``counterexample`` the pilot seed, then
-    one seed per evaluation replica.  ``backend`` is the step kernel that ran
+    one seed per evaluation replica; for ``coupling-grand`` one seed per
+    replica, then one per direct walk of the ``marginal`` block (role
+    ``direct``).  ``backend`` is the step kernel that ran
     (``"c"`` or ``"python"``) and ``fallback_reason`` why it is not ``"c"``.
     """
 

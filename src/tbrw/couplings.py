@@ -14,8 +14,13 @@ The grand process is kept as a cut list.  Its balls always tile [0, 1] and
 each step splits one of them at the fresh uniform U, so after n steps the
 balls are the gaps between the sorted cuts {0, U_1..U_n, 1}: the ball that
 U splits is found by bisection, and the ball holding a parameter p is the
-count of uniforms below p.  Ball positions are one flat array of nodes per
-step and vertex labels plain sorted (lo, hi) parts.
+count of uniforms below p.  The swarm step runs in ``_kernels.grand_loop``:
+``tbrw_grand`` in ``_kernel.c``, with ``_kernels._grand_python`` as its
+reference and the fallback without gcc.  Both return flat arrays only: the
+uniforms, the node parents, births and depths, the label parts as flat
+(lo, hi) arrays with per-node offsets, and every step's ball nodes.  The
+per-step event log is derived from them when it is read, so only a run
+whose log is written pays for it.
 
 Interval endpoints are the sampled uniforms themselves and are only ever
 compared, never rounded or averaged, so label membership is exact; the
@@ -28,11 +33,12 @@ import bisect
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import Trajectory, make_initial, run_arrays
+from . import _kernels, engine
+from .engine import SimulationError, Trajectory, make_initial, run_arrays
 from .schedules import LeafLaw
 
 LABEL_BOTH = 0
@@ -173,7 +179,9 @@ class GrandRun:
     After step n the balls are the n + 1 gaps between the sorted cuts
     {0, U_1..U_n, 1}, ball i being [cuts[i], cuts[i + 1]].  ``ball_steps``
     holds the node of every ball after every step, flat: step n's n + 1
-    entries start at n(n + 1)/2, in ball order.
+    entries start at n(n + 1)/2, in ball order.  Node w's label is the
+    sorted disjoint parts ``(label_lo[j], label_hi[j])`` for j in
+    ``label_start[w]:label_start[w + 1]``.
     """
 
     horizon: int
@@ -183,13 +191,19 @@ class GrandRun:
     node_parent: np.ndarray
     node_birth: np.ndarray
     node_depth: np.ndarray
-    node_label: List[tuple]         # sorted disjoint (lo, hi) parts per node
+    label_start: np.ndarray         # n_nodes + 1 offsets into the parts
+    label_lo: np.ndarray
+    label_hi: np.ndarray
     ball_steps: np.ndarray
-    events: List[dict]
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_parent)
+
+    def label(self, node: int) -> tuple:
+        """The (lo, hi) parts of the node's label."""
+        a, b = self.label_start[node], self.label_start[node + 1]
+        return tuple(zip(self.label_lo[a:b].tolist(), self.label_hi[a:b].tolist()))
 
     def cuts(self, step: int) -> np.ndarray:
         """The sorted endpoints {0, U_1..U_step, 1} of the step's balls."""
@@ -211,18 +225,45 @@ class GrandRun:
         return self.ball_steps[steps * (steps + 1) // 2 + index]
 
     @cached_property
-    def _label_parts(self):
-        owner = np.repeat(np.arange(self.n_nodes),
-                          [len(parts) for parts in self.node_label])
-        lo, hi = np.array([ab for parts in self.node_label for ab in parts]).T
-        return owner, lo, hi
+    def _part_owner(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.label_start))
 
     def visible(self, p: float) -> np.ndarray:
         """Mask of the nodes whose label contains p."""
-        owner, lo, hi = self._label_parts
         mask = np.zeros(self.n_nodes, dtype=np.bool_)
-        mask[owner[(lo <= p) & (p <= hi)]] = True
+        mask[self._part_owner[(self.label_lo <= p) & (p <= self.label_hi)]] = True
         return mask
+
+    @cached_property
+    def events(self) -> List[dict]:
+        """Per step ``{step, U, split, new_nodes, ball_moves}``, rebuilt from
+        the arrays.  A split retires ball k's id and gives its two halves the
+        next two ids; a move goes from the ball's node after the previous
+        step (ball k's for both halves) to its node after this one."""
+        parent, start = self.node_parent.tolist(), self.label_start.tolist()
+        lo, hi = self.label_lo.tolist(), self.label_hi.tolist()
+        steps = self.ball_steps.tolist()
+        # the nodes born at step n are first_born[n - 1]:first_born[n]
+        first_born = np.searchsorted(self.node_birth,
+                                     np.arange(1, self.horizon + 2)).tolist()
+        cuts, ball_id, next_ball = [0.0, 1.0], [0], 1
+        events = []
+        for n, u in enumerate(self.uniforms.tolist(), start=1):
+            k = bisect.bisect(cuts, u) - 1
+            cuts.insert(k + 1, u)
+            split = [ball_id[k], next_ball, next_ball + 1]
+            ball_id[k:k + 1] = split[1:]
+            next_ball += 2
+            before = steps[(n - 1) * n // 2:n * (n + 1) // 2]
+            before.insert(k + 1, before[k])
+            after = steps[n * (n + 1) // 2:(n + 1) * (n + 2) // 2]
+            events.append({
+                "step": n, "U": u, "split": split,
+                "new_nodes": [[parent[w], [[lo[j], hi[j]]
+                                           for j in range(start[w], start[w + 1])]]
+                              for w in range(first_born[n - 1], first_born[n])],
+                "ball_moves": [list(m) for m in zip(ball_id, before, after)]})
+        return events
 
 
 def write_events_jsonl(events: Sequence[dict], path) -> None:
@@ -232,6 +273,22 @@ def write_events_jsonl(events: Sequence[dict], path) -> None:
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
+def grand_arrays(state, horizon: int, stream: np.ndarray) -> list:
+    """Arguments of a grand loop (``_kernels.grand_loop``) that runs the
+    swarm from ``state`` on ``stream``: an arena with room for the most
+    vertices the run can make, then the zeroed output arrays."""
+    n0 = state.tree.node_count
+    slots = n0 + horizon * (horizon + 1) // 2
+    arena = [np.zeros(slots, dtype=np.int64) for _ in _kernels._NODE_ARRAYS]
+    for a, initial in zip(arena, engine._state_to_arrays(state, n0)):
+        a[:n0] = initial
+    arena[2][:n0] = 0  # births: the initial vertices exist at step 0
+    return [*arena, n0, state.position, horizon, stream,
+            np.zeros(horizon), np.zeros(slots + 1, dtype=np.int64),
+            np.zeros(slots), np.zeros(slots),
+            np.zeros((horizon + 1) * (horizon + 2) // 2, dtype=np.int64)]
+
+
 def grand_run(initial="edge", horizon: int = 100, seed: int = 0) -> GrandRun:
     """Drive the swarm of interval-labeled balls for ``horizon`` steps.
 
@@ -239,89 +296,83 @@ def grand_run(initial="edge", horizon: int = 100, seed: int = 0) -> GrandRun:
     vertex labeled [U, 1] intersected with the labels of the balls sitting
     there (skipped when that intersection is empty); split the unique ball
     whose label straddles U; then every ball jumps to a uniformly chosen
-    neighbor whose label contains the ball's label.
+    neighbor whose label contains the ball's label.  The generator seeded
+    with ``seed`` gives one U per step, redrawn while it is 0 or an earlier
+    cut, then one jump uniform per ball in ball order; ``grand_loop`` runs
+    the steps on that stream.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     state = make_initial(initial)
-    rng = np.random.default_rng(seed)
-    parent = list(state.tree.parent)
-    birth = [0] * len(parent)
-    depth = list(state.tree.depth)
-    children = [list(c) for c in state.tree.children]
-    label = [((0.0, 1.0),)] * len(parent)
-    cuts = [0.0, 1.0]
-    ball_node = [state.position]
-    ball_id = [0]
-    next_ball = 1
-    uniforms: List[float] = []
-    ball_steps = list(ball_node)
-    events: List[dict] = []
-
-    for n in range(1, horizon + 1):
-        u = float(rng.random())
-        while cuts[bisect.bisect(cuts, u) - 1] == u:  # 0 or a duplicate
-            u = float(rng.random())
-        uniforms.append(u)
-        k = bisect.bisect(cuts, u) - 1  # the ball that U splits
-
-        # the labels of the balls from k on meet [U, 1]; the others lie below U
-        parts_at: Dict[int, list] = {}
-        for i in range(k, len(ball_node)):
-            lo = u if i == k else cuts[i]
-            parts_at.setdefault(ball_node[i], []).append((lo, cuts[i + 1]))
-        new_nodes = []
-        for v in sorted(parts_at):
-            node = len(parent)
-            parent.append(v)
-            birth.append(n)
-            depth.append(depth[v] + 1)
-            children.append([])
-            children[v].append(node)
-            label.append(tuple(parts_at[v]))
-            new_nodes.append([v, [list(ab) for ab in parts_at[v]]])
-
-        split_ev = [ball_id[k], next_ball, next_ball + 1]
-        cuts.insert(k + 1, u)
-        ball_node.insert(k + 1, ball_node[k])
-        ball_id[k:k + 1] = [next_ball, next_ball + 1]
-        next_ball += 2
-
-        jumps = rng.random(len(ball_node)).tolist()
-        moves = []
-        for i, v in enumerate(ball_node):
-            lo, hi = cuts[i], cuts[i + 1]
-            nbrs = children[v] if parent[v] < 0 else [parent[v], *children[v]]
-            eligible = [w for w in nbrs
-                        if any(a <= lo and hi <= b for a, b in label[w])]
-            target = eligible[min(int(jumps[i] * len(eligible)), len(eligible) - 1)]
-            moves.append([ball_id[i], v, target])
-            ball_node[i] = target
-
-        ball_steps.extend(ball_node)
-        events.append({"step": n, "U": u, "split": split_ev,
-                       "new_nodes": new_nodes, "ball_moves": moves})
-
-    return GrandRun(horizon=horizon, seed=seed, initial_size=state.tree.node_count,
-                    uniforms=np.asarray(uniforms, dtype=np.float64),
-                    node_parent=np.asarray(parent, dtype=np.int64),
-                    node_birth=np.asarray(birth, dtype=np.int64),
-                    node_depth=np.asarray(depth, dtype=np.int64),
-                    node_label=label,
-                    ball_steps=np.asarray(ball_steps, dtype=np.int64),
-                    events=events)
+    # one U and n + 1 jumps at step n, plus room for redrawn Us; a stream
+    # that runs short is redrawn longer, with the same values in front
+    length = horizon * (horizon + 5) // 2 + 8
+    while True:
+        stream = np.random.default_rng(seed).random(length)
+        args = grand_arrays(state, horizon, stream)
+        final = _kernels.grand_loop(*args)
+        if final != -3:
+            break
+        length *= 2
+    if final < 0:
+        raise SimulationError("a ball has no eligible neighbor")
+    parent, depth, birth = (a[:final].copy() for a in args[:3])
+    uniforms, label_start, label_lo, label_hi, ball_steps = args[11:]
+    parts = label_start[final]
+    return GrandRun(horizon=horizon, seed=seed, initial_size=args[7],
+                    uniforms=uniforms, node_parent=parent, node_birth=birth,
+                    node_depth=depth, label_start=label_start[:final + 1].copy(),
+                    label_lo=label_lo[:parts].copy(),
+                    label_hi=label_hi[:parts].copy(), ball_steps=ball_steps)
 
 
 def check_grand_invariants(grand: GrandRun) -> None:
-    """Exact structural checks after every step; raises AssertionError."""
-    for step in range(grand.horizon + 1):
-        cuts = grand.cuts(step).tolist()
-        assert cuts[0] == 0.0 and cuts[-1] == 1.0, "balls must span [0, 1]"
-        assert all(a < b for a, b in zip(cuts, cuts[1:])), \
-            f"gap or overlap in ball labels at step {step}"
-        nodes = grand.balls(step).tolist()
-        assert len(nodes) == 1 + step, "one split per step"
-        for lo, hi, node in zip(cuts, cuts[1:], nodes):
-            assert any(a <= lo and hi <= b for a, b in grand.node_label[node]), \
-                f"ball [{lo},{hi}] escaped its vertex label at step {step}"
+    """Exact structural checks after every step; raises AssertionError.
+
+    At every step the cuts run strictly from 0 to 1, there are step + 1
+    balls, and every ball [lo, hi] lies inside one part of its node's label.
+    The last check pairs each ball with every part of its node's label.
+    """
+    horizon, u = grand.horizon, grand.uniforms
+    order = np.argsort(u)
+    points = np.concatenate(([0.0], u[order], [1.0]))
+    assert len(u) == horizon, "one uniform per step"
+    # every step's cuts are a subset of the last step's
+    assert np.all(points[:-1] < points[1:]), \
+        "gap or overlap in ball labels: the cuts must run strictly from 0 to 1"
+    assert len(grand.ball_steps) == (horizon + 1) * (horizon + 2) // 2, \
+        "one split per step: step n has n + 1 balls"
+    nodes = grand.ball_steps
+    assert np.all((0 <= nodes) & (nodes < grand.n_nodes)), "a ball on no node"
+    start, lo, hi = grand.label_start, grand.label_lo, grand.label_hi
+    n_parts = np.diff(start)
+    assert len(start) == grand.n_nodes + 1 and start[0] == 0 \
+        and np.all(n_parts >= 0) and start[-1] == len(lo) == len(hi), \
+        "label offsets must cover the parts"
+
+    # the cuts after step n are the points drawn by then, in sorted order
+    drawn_by = np.concatenate(([0], order + 1, [0]))
+    block = max(1, (1 << 18) // (horizon + 1))
+    for first in range(0, horizon + 1, block):
+        steps = np.arange(first, min(first + block, horizon + 1))
+        present = drawn_by[None, :] <= steps[:, None]
+        shape = (len(steps), horizon + 1)
+        ball_lo = np.broadcast_to(points[:-1], shape)[present[:, :-1]]
+        ball_hi = np.broadcast_to(points[1:], shape)[present[:, 1:]]
+        ball_node = nodes[first * (first + 1) // 2:][:len(ball_lo)]
+        # one row per (ball, part of the ball's node)
+        tries = n_parts[ball_node]
+        ball = np.repeat(np.arange(len(ball_node)), tries)
+        part = np.arange(len(ball)) + np.repeat(
+            start[ball_node] - (np.cumsum(tries) - tries), tries)
+        inside = (lo[part] <= ball_lo[ball]) & (ball_hi[ball] <= hi[part])
+        held = np.bincount(ball[inside], minlength=len(ball_node)) > 0
+        if not held.all():
+            bad = int(np.argmin(held))
+            step = int(steps[np.searchsorted(np.cumsum(steps + 1), bad,
+                                             side="right")])
+            raise AssertionError(f"ball [{ball_lo[bad]},{ball_hi[bad]}] "
+                                 f"escaped its vertex label at step {step}")
 
 
 def extract_instance(grand: GrandRun, p: float) -> Trajectory:

@@ -106,7 +106,12 @@ def _run_seeds(cfg: ExperimentConfig):
         evals = int(cfg.params.get("eval_replicas", 100))
         return itertools.chain([_seed(cfg, 0, "pilot")],
                                (_seed(cfg, r, "eval") for r in range(evals)))
-    return (_replica_seed(cfg, r) for r in range(cfg.replicas))
+    replicas = (_replica_seed(cfg, r) for r in range(cfg.replicas))
+    if cfg.experiment == "coupling-grand" and "marginal" in cfg.params:
+        walks = int(cfg.params["marginal"]["replicas"])
+        return itertools.chain(replicas,
+                               (_seed(cfg, i, "direct") for i in range(walks)))
+    return replicas
 
 
 def _resolve_schedule(cfg: ExperimentConfig, default: Optional[dict] = None):

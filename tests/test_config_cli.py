@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from tbrw import _kernels, cli, config, couplings, engine, schedules
 from tbrw.config import ConfigError, derive_seed, parse_config
@@ -143,6 +144,17 @@ GRAND_PARAMS = {"p_grid": [0.0, 0.5, 1.0],
     ("tail", {}, "InsufficientBlocksError"),
     ("counterexample", {"p": 0.9, "q": 0.2}, "ScheduleError"),
     ("speed-curve", {"p_grid": [0.5, 1.5]}, "ConfigError"),
+    ("simulate", {"initial": {"parents": [None, 0], "walker": 5}},
+     "ConfigError"),
+    ("renewal-stats", {"initial": "triangle"}, "ConfigError"),
+    ("degree-dist", {"gamma": -0.5}, "ConfigError"),
+    ("tail", {"n_min": 10}, "ConfigError"),
+    ("clt", {"band": [0.4, 1.6]}, "ConfigError"),
+    ("lil", {"band": [1.6, 0.4]}, "ConfigError"),
+    ("coupling-tv", {"law_a": {"support": [0, 1], "probs": [0.5, 0.6]}},
+     "ConfigError"),
+    ("coupling-monotone", {"p_floor": 1.5}, "ConfigError"),
+    ("counterexample", {"p": 0.2, "q": 0.9, "j_max": 0}, "ConfigError"),
 ])
 def test_cli_params_failure_is_one_json_line(tmp_path, capsys, experiment,
                                              params, error):
@@ -180,6 +192,31 @@ def test_manifest_seeds_replay_coupling_runs(tmp_path):
     for row, seed in zip(rows, manifest["replica_seeds"]):
         zeta = couplings.tv_coupled_run(*laws, 30, seed).split_time
         assert row.split(",")[1] == ("" if zeta is None else str(zeta))
+
+
+def test_manifest_seeds_replay_grand_marginal(tmp_path):
+    # the marginal block compares depths extracted from the grand runs with
+    # direct walks; manifest.json lists both sets of seeds, in that order
+    run_experiment(parse_config({
+        "experiment": "coupling-grand", "seed": 5, "horizon": 20,
+        "replicas": 3, "params": GRAND_PARAMS, "out": str(tmp_path)}))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    config = manifest["config"]
+    marginal = config["params"]["marginal"]
+    seeds = manifest["replica_seeds"]
+    assert len(seeds) == config["replicas"] + marginal["replicas"]
+    extracted = [couplings.extract_instance(
+        couplings.grand_run("edge", config["horizon"], s),
+        marginal["p"]).depths[marginal["steps"]]
+        for s in seeds[:marginal["replicas"]]]
+    direct = np.array([engine.run("edge", schedules.bernoulli(marginal["p"]),
+                                  marginal["steps"], s).depths[-1]
+                       for s in seeds[config["replicas"]:]], dtype=np.float64)
+    summary = json.loads((tmp_path / "summary.json").read_text())["marginal"]
+    assert summary["n_each"] == len(direct)
+    assert summary["direct_mean"] == float(direct.mean())
+    assert summary["extracted_mean"] == float(np.mean(extracted))
+    assert summary["ks_stat"] == float(stats.ks_2samp(extracted, direct).statistic)
 
 
 def test_manifest_seeds_replay_speed_curve_and_counterexample(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ def test_grand_first_step_structure():
     # one new vertex labeled [U,1] attached at the walker
     assert g.n_nodes == 3
     assert g.node_parent[2] == 1
-    assert g.node_label[2] == ((u, 1.0),)
+    assert g.label(2) == ((u, 1.0),)
     # the ball [0,1] split into [0,U], [U,1]
     cuts = g.cuts(1).tolist()
     assert list(zip(cuts, cuts[1:])) == [(0.0, u), (u, 1.0)]
@@ -114,6 +116,47 @@ def test_grand_invariants_many_runs():
         assert len(g.balls(g.horizon)) == 1 + g.horizon
         assert couplings.vertex_count(g, 1.0, g.horizon) == 2 + g.horizon
         assert couplings.vertex_count(g, 0.0, g.horizon) == 2
+
+
+def _swapped_first_cuts():
+    # a run where ball 1 = [U_1, 1] sits on node 2, labeled [U_1, 1], after
+    # step 1 and U_2 < U_1: with U_1 and U_2 swapped, step 1's ball 1 is
+    # [U_2, 1], which node 2's label misses
+    for seed in range(100):
+        g = couplings.grand_run("edge", horizon=40, seed=seed)
+        if g.balls(1)[1] == 2 and g.uniforms[1] < g.uniforms[0]:
+            return dataclasses.replace(g, uniforms=g.uniforms[[1, 0, *range(2, 40)]])
+    raise AssertionError("no such run among 100 seeds")
+
+
+def _grand_corrupted(case):
+    g = couplings.grand_run("edge", horizon=40, seed=0)
+    steps = g.ball_steps.copy()
+    if case == "ball off its label":
+        # ball 0 = [0, c] cannot sit on the last node: its parts start at U_40
+        steps[20 * 21 // 2] = g.n_nodes - 1
+        return dataclasses.replace(g, ball_steps=steps)
+    if case == "two cuts swapped":
+        return _swapped_first_cuts()
+    if case == "duplicate cut":
+        u = g.uniforms.copy()
+        u[5] = u[2]
+        return dataclasses.replace(g, uniforms=u)
+    if case == "ball dropped":
+        return dataclasses.replace(g, ball_steps=np.delete(steps, 10 * 11 // 2 + 3))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("ball off its label", "escaped its vertex label at step 20"),
+    ("two cuts swapped", "escaped its vertex label at step 1"),
+    ("duplicate cut", "cuts must run strictly"),
+    ("ball dropped", "one split per step"),
+])
+def test_grand_invariants_reject_corrupted_runs(case, message):
+    couplings.check_grand_invariants(couplings.grand_run("edge", 40, seed=0))
+    with pytest.raises(AssertionError, match=message):
+        couplings.check_grand_invariants(_grand_corrupted(case))
 
 
 def test_grand_unique_ball_per_parameter():

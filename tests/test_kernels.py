@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tbrw import _kernels, engine, schedules
+from tbrw import _kernels, couplings, engine, schedules
 from tbrw.config import parse_config
 from tbrw.experiments import run_experiment
 
@@ -63,9 +63,9 @@ def _outputs(fn, args):
     return fn(*args), [a.copy() for a in args if isinstance(a, np.ndarray)]
 
 
-def _c_backend():
+def _c_backend(kernel="simulate"):
     # a silent fallback to the Python loop must not pass where gcc exists
-    fn = _kernels.available_backends().get("c")
+    fn = _kernels.available_backends(kernel).get("c")
     if fn is None:
         assert shutil.which("gcc") is None, \
             f"gcc is on PATH but the C kernel is missing: {_kernels.FALLBACK_REASON}"
@@ -102,6 +102,9 @@ def test_backend_flag_reports():
     assert _kernels.BACKEND in ("c", "python")
     assert set(backends) == {"python", _kernels.BACKEND}
     assert backends[_kernels.BACKEND] is _kernels.simulate_loop
+    grand = _kernels.available_backends("grand")
+    assert set(grand) == set(backends)
+    assert grand[_kernels.BACKEND] is _kernels.grand_loop
     assert (_kernels.FALLBACK_REASON is None) == (_kernels.BACKEND == "c")
 
 
@@ -172,29 +175,42 @@ def test_c_loop_rejects_links_to_missing_nodes():
         c_fn(*args)  # the arena now links to nodes the rerun has not made
 
 
+FALLBACK_CONFIGS = {
+    "simulate": {"experiment": "simulate", "seed": 3, "horizon": 300,
+                 "schedule": {"kind": "bernoulli", "p": 0.5}},
+    "coupling-grand": {"experiment": "coupling-grand", "seed": 3,
+                       "horizon": 40, "replicas": 3,
+                       "params": {"coalescence": {"p": 0.5, "q": 0.6, "n": 10},
+                                  "marginal": {"p": 0.5, "steps": 40,
+                                               "replicas": 3}}},
+}
+
+
 def test_python_fallback_without_gcc(tmp_path):
     # a copy of the package with no build cache and gcc hidden from PATH runs
-    # the CLI on the Python loop, says why, and writes the same artifacts
+    # the CLI on the Python loops, says why, and writes the same artifacts
     src = os.path.dirname(os.path.dirname(_kernels.__file__))
     shutil.copytree(os.path.join(src, "tbrw"), tmp_path / "tbrw",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    config = {"experiment": "simulate", "seed": 3, "horizon": 300,
-              "schedule": {"kind": "bernoulli", "p": 0.5}}
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
     env = dict(os.environ, PATH=str(tmp_path / "no-bin"),
                PYTHONPATH=str(tmp_path))
-    subprocess.run([sys.executable, "-m", "tbrw.cli", "simulate", "--config",
-                    str(tmp_path / "cfg.json"), "--out", str(tmp_path / "py")],
-                   env=env, check=True, capture_output=True, timeout=120)
-    assert not list((tmp_path / "tbrw").rglob("*.so"))
-    manifest = json.loads((tmp_path / "py" / "manifest.json").read_text())
-    assert manifest["backend"] == "python"
-    assert manifest["fallback_reason"] == "gcc not found on PATH"
+    for name, config in FALLBACK_CONFIGS.items():
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        subprocess.run([sys.executable, "-m", "tbrw.cli", name, "--config",
+                        str(tmp_path / "cfg.json"), "--out",
+                        str(tmp_path / name / "py")],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert not list((tmp_path / "tbrw").rglob("*.so"))
+        manifest = json.loads(
+            (tmp_path / name / "py" / "manifest.json").read_text())
+        assert manifest["backend"] == "python"
+        assert manifest["fallback_reason"] == "gcc not found on PATH"
 
-    run_experiment(parse_config({**config, "out": str(tmp_path / "here")}))
-    for name in manifest["outputs"]:
-        assert (tmp_path / "py" / name).read_bytes() == \
-            (tmp_path / "here" / name).read_bytes(), name
+        here = tmp_path / name / "here"
+        run_experiment(parse_config({**config, "out": str(here)}))
+        for output in manifest["outputs"]:
+            assert (tmp_path / name / "py" / output).read_bytes() == \
+                (here / output).read_bytes(), (name, output)
 
 
 def test_engine_matches_stepwise_reference():
@@ -223,3 +239,134 @@ def test_engine_matches_stepwise_reference():
             pos = nbrs[min(int(ju[n] * len(nbrs)), len(nbrs) - 1)]
             depths.append(depth[pos])
         assert traj.depths.tolist() == depths
+
+
+# -- the grand swarm loop
+
+
+def _grand_stream(horizon, seed):
+    # what grand_run draws: one U and n + 1 jumps at step n, plus spare
+    rng = np.random.default_rng(seed)
+    return rng.random(horizon * (horizon + 5) // 2 + 8)
+
+
+def _grand_args(horizon, stream, initial="edge"):
+    return couplings.grand_arrays(engine.make_initial(initial), horizon, stream)
+
+
+def test_grand_backends_bit_identical():
+    c_fn = _c_backend("grand")
+    for seed in range(25):
+        for horizon in (1, 2, 37, 200):
+            stream = _grand_stream(horizon, seed)
+            ref = _outputs(_kernels._grand_python, _grand_args(horizon, stream))
+            got = _outputs(c_fn, _grand_args(horizon, stream))
+            assert got[0] == ref[0] > 0
+            for a, b in zip(got[1], ref[1]):
+                assert np.array_equal(a, b), (seed, horizon)
+
+
+def _with_redraws(stream, redraws):
+    """``stream`` with ``redraws[n]`` inserted before step n's U."""
+    out, at = list(stream), 0
+    for n in range(1, max(redraws) + 1):
+        if n in redraws:
+            out[at:at] = redraws[n]
+            at += len(redraws[n])
+        at += n + 2  # U, then n + 1 jumps
+    return np.array(out)
+
+
+def test_grand_backends_redraw_zero_and_duplicate_u():
+    # a U equal to 0 or to an earlier cut is skipped: with such values
+    # inserted, both backends give the arrays of the plain stream
+    horizon = 30
+    stream = _grand_stream(horizon, 4)
+    u = [stream[(n - 1) * (n + 4) // 2] for n in range(1, horizon + 1)]
+    forced = _with_redraws(stream, {1: [0.0], 2: [u[0]],
+                                    12: [u[4], 0.0, u[10]], 30: [u[28]]})
+    final, ref = _outputs(_kernels._grand_python, _grand_args(horizon, stream))
+    del ref[7]  # the stream
+    assert ref[7].tolist() == u  # the uniforms
+    for fn in _kernels.available_backends("grand").values():
+        got = _outputs(fn, _grand_args(horizon, forced))
+        del got[1][7]
+        assert got[0] == final
+        for a, b in zip(got[1], ref):
+            assert np.array_equal(a, b)
+        # the run takes every value but the 8 spare ones; one fewer is
+        # reported as a stream that runs out
+        used = len(forced) - 8
+        assert fn(*_grand_args(horizon, forced[:used])) == final
+        assert fn(*_grand_args(horizon, forced[:used - 1])) == -3
+
+
+def test_grand_ball_without_eligible_neighbor():
+    # from a single vertex, step 1 hangs [U, 1] below the root, and ball
+    # [0, U] on the root has no neighbor whose label holds it
+    for fn in _kernels.available_backends("grand").values():
+        assert fn(*_grand_args(3, _grand_stream(3, 0), "vertex")) == -1
+    with pytest.raises(engine.SimulationError):
+        couplings.grand_run("vertex", 3, 0)
+
+
+def test_grand_run_redraws_a_short_stream(monkeypatch):
+    # a stream that runs out is drawn again, longer, from the same seed
+    expected = couplings.grand_run("edge", 25, 6).events
+    lengths = []
+
+    def runs_short_once(*args):
+        lengths.append(len(args[10]))
+        return -3 if len(lengths) == 1 else _kernels._grand_python(*args)
+
+    monkeypatch.setattr(_kernels, "grand_loop", runs_short_once)
+    assert couplings.grand_run("edge", 25, 6).events == expected
+    assert lengths[1] == 2 * lengths[0]
+
+
+GRAND_BAD_INPUTS = {
+    "node dtype int32": _bad(0, lambda a: a.astype(np.int32)),
+    "node array read-only": _bad(6, lambda a: np.frombuffer(a.tobytes(), np.int64)),
+    "node array not contiguous": _bad(3, lambda a: np.repeat(a, 2)[::2]),
+    "node arrays too short": _bad(4, lambda a: a[:-1].copy()),
+    "n_nodes past the arena": _bad(7, 10_000),
+    "pos negative": _bad(8, -1),
+    "pos past the nodes": _bad(8, 2),
+    "horizon negative": _bad(9, -1),
+    "horizon past the capacities": _bad(9, lambda h: h + 1),
+    "stream dtype float32": _bad(10, lambda a: a.astype(np.float32)),
+    "stream 2-d": _bad(10, lambda a: a.reshape(1, -1)),
+    "stream equal to 1": _bad(10, lambda a: np.where(np.arange(len(a)) == 7, 1.0, a)),
+    "stream negative": _bad(10, lambda a: -a),
+    "stream NaN": _bad(10, lambda a: np.where(np.arange(len(a)) == 3, np.nan, a)),
+    "uniforms too long": _bad(11, lambda a: np.zeros(len(a) + 1)),
+    "label_start too short": _bad(12, lambda a: a[:-1].copy()),
+    "label_lo too short": _bad(13, lambda a: a[:-1].copy()),
+    "label_hi dtype float32": _bad(14, lambda a: a.astype(np.float32)),
+    "ball_steps too short": _bad(15, lambda a: a[:-1].copy()),
+    "ball_steps a list": _bad(15, lambda a: a.tolist()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAND_BAD_INPUTS))
+def test_c_grand_wrapper_rejects_bad_input_before_the_call(case, monkeypatch):
+    c_fn = _c_backend("grand")
+    assert c_fn(*_grand_args(20, _grand_stream(20, 1))) > 2  # unmodified runs
+
+    def must_not_run(*a):
+        raise AssertionError("C was called")
+
+    monkeypatch.setattr(_kernels, "_c_grand", must_not_run)
+    args = _grand_args(20, _grand_stream(20, 1))
+    GRAND_BAD_INPUTS[case](args)
+    with pytest.raises(ValueError):
+        c_fn(*args)
+
+
+def test_c_grand_rejects_links_to_missing_nodes():
+    c_fn = _c_backend("grand")
+    args = _grand_args(5, _grand_stream(5, 2))
+    args[3][1] = args[5][1] = 7  # the walker's child "7" does not exist yet
+    args[6][1] = 1
+    with pytest.raises(ValueError, match="link"):
+        c_fn(*args)
