@@ -8,7 +8,6 @@ coupling's swarm) at each grand horizon, the Python loop only up to
 horizon 800.
 
 Usage: python benchmarks/bench_kernels.py [--horizon N] [--repeat K]
-           [--grand-horizons H [H ...]]
 """
 
 import argparse
@@ -19,6 +18,7 @@ import numpy as np
 
 from tbrw import _kernels, couplings, engine, schedules
 
+GRAND_HORIZONS = (200, 800, 2000)
 PYTHON_GRAND_MAX = 800
 
 
@@ -36,14 +36,14 @@ def build_args(horizon: int, p: float, seed: int):
             positions, depths, flags]
 
 
-def bench_grand(horizons, repeat: int) -> None:
+def bench_grand(repeat: int) -> None:
     """Time ``grand_run("edge", horizon, 1)`` per backend; the runs of one
     horizon must agree on every array."""
     active = _kernels.grand_loop
     print(f"\ngrand_run, seed 1 (best of {repeat}):")
     print(f"{'horizon':>8} {'backend':<10} {'seconds':>10} {'nodes':>10}")
     try:
-        for horizon in horizons:
+        for horizon in GRAND_HORIZONS:
             reference = None
             for name, fn in _kernels.available_backends("grand").items():
                 if name == "python" and horizon > PYTHON_GRAND_MAX:
@@ -73,8 +73,6 @@ def main() -> None:
     parser.add_argument("--horizon", type=int, default=2_000_000)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--p", type=float, default=0.5)
-    parser.add_argument("--grand-horizons", type=int, nargs="+",
-                        default=[200, 800, 2000])
     opts = parser.parse_args()
 
     backends = _kernels.available_backends()
@@ -111,7 +109,7 @@ def main() -> None:
         slow = max(r[1] for r in rows)
         fast = min(r[1] for r in rows)
         print(f"\nspeedup: {slow / fast:.1f}x (outputs bit-identical)")
-    bench_grand(opts.grand_horizons, opts.repeat)
+    bench_grand(opts.repeat)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ EXPERIMENT_NAMES = (
     "counterexample",
 )
 
+LIL_N_MIN = 10_000  # the lil statistic's first step when params omit n_min
+
 
 class ConfigError(ValueError):
     pass
@@ -99,6 +101,11 @@ def _block(fields: dict, required=()):
     return check
 
 
+def _or_null(check):
+    """``check``, or a null that stands for the block being absent."""
+    return lambda x, path: None if x is None else check(x, path)
+
+
 def _law(x, path: str) -> None:
     from .schedules import LeafLaw
     try:
@@ -135,13 +142,15 @@ def _params_schema(experiment: str, horizon: int):
         "degree-dist": {"gamma": _positive(math.inf)},
         "tail": {},
         "clt": {},
-        "lil": {"n_min": step, "band": _band},
+        "lil": {"n_min": _number(3, horizon, True), "band": _band},
         "coupling-grand": {
             "p_grid": p_grid,
-            "coalescence": _block({"p": unit, "q": unit, "n": step,
-                                   "batches": count}, ("p", "q", "n")),
-            "marginal": _block({"p": unit, "steps": step, "replicas": count},
-                               ("p", "steps", "replicas"))},
+            "coalescence": _or_null(_block(
+                {"p": unit, "q": unit, "n": step, "batches": count},
+                ("p", "q", "n"))),
+            "marginal": _or_null(_block(
+                {"p": unit, "steps": step, "replicas": count},
+                ("p", "steps", "replicas")))},
         "coupling-tv": {"law_a": _law, "law_b": _law},
         "coupling-monotone": {"law": _law, "p_floor": _positive(1.0),
                               "initial": _initial,
@@ -204,6 +213,10 @@ def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
             raise ConfigError(f"schedule: {exc}") from None
     params = merged.get("params", {})
     _params_schema(experiment, horizon)(params, "params")
+    if experiment == "lil" and "n_min" not in params:
+        _require(LIL_N_MIN <= horizon, "params.n_min",
+                 f"defaults to {LIL_N_MIN}, above the horizon {horizon}; "
+                 f"set it in [3, {horizon}]")
     return ExperimentConfig(
         experiment=experiment, master_seed=merged["seed"],
         out_dir=str(merged.get("out", "out")), horizon=horizon,

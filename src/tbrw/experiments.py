@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import _kernels, couplings, engine, estimators, schedules, stopping
-from .config import ExperimentConfig, RunManifest, derive_seed
+from .config import LIL_N_MIN, ExperimentConfig, RunManifest, derive_seed
 
 
 class ExperimentError(RuntimeError):
@@ -107,8 +107,9 @@ def _run_seeds(cfg: ExperimentConfig):
         return itertools.chain([_seed(cfg, 0, "pilot")],
                                (_seed(cfg, r, "eval") for r in range(evals)))
     replicas = (_replica_seed(cfg, r) for r in range(cfg.replicas))
-    if cfg.experiment == "coupling-grand" and "marginal" in cfg.params:
-        walks = int(cfg.params["marginal"]["replicas"])
+    marginal = cfg.params.get("marginal")  # null: the block is absent
+    if cfg.experiment == "coupling-grand" and marginal is not None:
+        walks = int(marginal["replicas"])
         return itertools.chain(replicas,
                                (_seed(cfg, i, "direct") for i in range(walks)))
     return replicas
@@ -424,7 +425,7 @@ def _run_clt(cfg: ExperimentConfig, out: str) -> list:
 
 def _run_lil(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
-    n_min = int(cfg.params.get("n_min", 10_000))
+    n_min = int(cfg.params.get("n_min", LIL_N_MIN))
     band = cfg.params.get("band", [0.4, 1.6])
     seeds = [_replica_seed(cfg, r)
              for r in range(cfg.replicas)]

@@ -155,6 +155,8 @@ GRAND_PARAMS = {"p_grid": [0.0, 0.5, 1.0],
      "ConfigError"),
     ("coupling-monotone", {"p_floor": 1.5}, "ConfigError"),
     ("counterexample", {"p": 0.2, "q": 0.9, "j_max": 0}, "ConfigError"),
+    ("lil", {"n_min": 2}, "ConfigError"),
+    ("lil", {}, "ConfigError"),  # the default n_min is above the horizon
 ])
 def test_cli_params_failure_is_one_json_line(tmp_path, capsys, experiment,
                                              params, error):
@@ -217,6 +219,18 @@ def test_manifest_seeds_replay_grand_marginal(tmp_path):
     assert summary["direct_mean"] == float(direct.mean())
     assert summary["extracted_mean"] == float(np.mean(extracted))
     assert summary["ks_stat"] == float(stats.ks_2samp(extracted, direct).statistic)
+
+
+def test_grand_null_blocks_are_absent(tmp_path):
+    cfg = parse_config({
+        "experiment": "coupling-grand", "seed": 2, "horizon": 20,
+        "replicas": 2, "out": str(tmp_path),
+        "params": {"p_grid": [0.5], "coalescence": None, "marginal": None}})
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(manifest["replica_seeds"]) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "coalescence" not in summary and "marginal" not in summary
 
 
 def test_manifest_seeds_replay_speed_curve_and_counterexample(tmp_path):
