@@ -3,7 +3,8 @@
 A config is one JSON document; CLI flags may override the common fields.
 Replica streams are derived by hashing (master seed, experiment name,
 replica index, role), so no two experiments sharing a master seed ever
-consume the same stream.
+consume the same stream; the streams a construction splits off one of those
+seeds come from ``child_seed``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 EXPERIMENT_NAMES = (
     "simulate", "renewal-stats", "speed-curve", "degree-dist", "tail",
@@ -228,6 +231,14 @@ def derive_seed(master_seed: int, experiment: str, replica: int, role: str = "")
     """Stable 63-bit stream seed; distinct per (experiment, replica, role)."""
     key = f"tbrw:{master_seed}:{experiment}:{replica}:{role}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
+
+
+def child_seed(*keys: int) -> int:
+    """Stable 32-bit seed of a stream split off a seed, keyed by integers:
+    the first word of ``SeedSequence(keys)``.  The coupled runs split
+    ``(seed, k)`` off a pair's seed, the counterexample's pilot runs
+    ``(pilot seed, salt, r)`` and ``(pilot seed, 3, j)``."""
+    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
 @dataclass

@@ -33,22 +33,18 @@ import bisect
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, engine
+from . import _kernels
+from .config import child_seed
 from .engine import SimulationError, Trajectory, make_initial, run_arrays
 from .schedules import LeafLaw
 
 LABEL_BOTH = 0
 LABEL_LEAD_ONLY = 1
 LABEL_FLOOR_ONLY = 2
-
-
-def _child_seed(seed: int, *salt) -> int:
-    return int(np.random.SeedSequence([int(seed), *[int(s) for s in salt]])
-               .generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -70,32 +66,15 @@ def _coupling_parts(law_a: LeafLaw, law_b: LeafLaw):
     return np.asarray(support), pa, pb, overlap, float(omega)
 
 
-def _draw_from(support: np.ndarray, probs: np.ndarray, u: float) -> int:
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return int(support[min(idx, len(support) - 1)])
-
-
-def max_couple(law_a: LeafLaw, law_b: LeafLaw,
-               rng: np.random.Generator) -> Tuple[int, int, bool]:
-    """One joint draw (x_a, x_b, equal) with exact marginals and
-    P(equal) = 1 - tv_distance(law_a, law_b).
-
-    With probability 1 - d both values come from the normalized overlap
-    min(a, b); otherwise each side draws from its normalized residual.
-    """
-    support, pa, pb, overlap, omega = _coupling_parts(law_a, law_b)
-    if rng.random() < omega:
-        x = _draw_from(support, overlap, rng.random())
-        return x, x, True
-    xa = _draw_from(support, pa - overlap, rng.random())
-    xb = _draw_from(support, pb - overlap, rng.random())
-    return xa, xb, False
-
-
 def sample_coupled_arrays(law_a: LeafLaw, law_b: LeafLaw, n: int,
                           rng: np.random.Generator):
-    """Vectorized ``max_couple``: arrays (xi_a, xi_b, equal) of length n."""
+    """n joint draws of a maximal coupling: arrays (xi_a, xi_b, equal).
+
+    Each pair has the exact marginals and P(equal) = 1 - tv_distance(law_a,
+    law_b): with probability 1 - d both values come from the normalized
+    overlap min(a, b); otherwise each side draws from its normalized
+    residual.
+    """
     support, pa, pb, overlap, omega = _coupling_parts(law_a, law_b)
     equal = rng.random(n) < omega
     xi_a = np.empty(n, dtype=np.int64)
@@ -139,7 +118,7 @@ def tv_coupled_run(law_a: LeafLaw, law_b: LeafLaw, horizon: int,
     Before the split time the two runs are identical (same tree, same moves);
     from the split on, each continues on its own stream.
     """
-    rng = np.random.default_rng(_child_seed(seed, 0))
+    rng = np.random.default_rng(child_seed(seed, 0))
     xi_a_c, xi_b_c, equal = sample_coupled_arrays(law_a, law_b, horizon, rng)
     unequal = np.flatnonzero(~equal)
     zeta = int(unequal[0]) + 1 if unequal.size else None
@@ -150,17 +129,17 @@ def tv_coupled_run(law_a: LeafLaw, law_b: LeafLaw, horizon: int,
     shared_u = rng.random(horizon + 1)
     ju_a, ju_b = shared_u.copy(), shared_u.copy()
     if zeta is not None:
-        rng_a = np.random.default_rng(_child_seed(seed, 1))
-        rng_b = np.random.default_rng(_child_seed(seed, 2))
+        rng_a = np.random.default_rng(child_seed(seed, 1))
+        rng_b = np.random.default_rng(child_seed(seed, 2))
         tail = horizon - zeta
         xi_a[zeta + 1:] = law_a.sample(rng_a, tail)
         xi_b[zeta + 1:] = law_b.sample(rng_b, tail)
         ju_a[zeta:] = rng_a.random(tail + 1)
         ju_b[zeta:] = rng_b.random(tail + 1)
-    traj_a = run_arrays(initial, xi_a, ju_a, keep_tree=None, seed=seed,
+    traj_a = run_arrays(initial, xi_a, ju_a, seed=seed,
                         schedule={"kind": "tv-coupled", "side": "a",
                                   **law_a.to_json()})
-    traj_b = run_arrays(initial, xi_b, ju_b, keep_tree=None, seed=seed,
+    traj_b = run_arrays(initial, xi_b, ju_b, seed=seed,
                         schedule={"kind": "tv-coupled", "side": "b",
                                   **law_b.to_json()})
     return CoupledPair(traj_a=traj_a, traj_b=traj_b, split_time=zeta,
@@ -280,7 +259,7 @@ def grand_arrays(state, horizon: int, stream: np.ndarray) -> list:
     n0 = state.tree.node_count
     slots = n0 + horizon * (horizon + 1) // 2
     arena = [np.zeros(slots, dtype=np.int64) for _ in _kernels._NODE_ARRAYS]
-    for a, initial in zip(arena, engine._state_to_arrays(state, n0)):
+    for a, initial in zip(arena, state.tree.arrays()):
         a[:n0] = initial
     arena[2][:n0] = 0  # births: the initial vertices exist at step 0
     return [*arena, n0, state.position, horizon, stream,
@@ -498,12 +477,15 @@ def monotone_pair_run(law: LeafLaw, p_floor: float, horizon: int, seed: int,
     skip_law = _residual_law(law, p_floor) if p_floor < 1.0 else None
 
     state = make_initial(initial)
-    parent = list(state.tree.parent)
-    depth = list(state.tree.depth)
-    children = [list(c) for c in state.tree.children]
+    parent = state.tree.parent.tolist()
+    depth = state.tree.depth.tolist()
+    children = [[] for _ in parent]  # creation order
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
     labels = [LABEL_BOTH] * len(parent)
 
-    rng = np.random.default_rng(_child_seed(seed, 10))
+    rng = np.random.default_rng(child_seed(seed, 10))
     lead_pos = state.position
     floor_pos = state.position
 
@@ -568,7 +550,7 @@ def monotone_pair_run(law: LeafLaw, p_floor: float, horizon: int, seed: int,
         lead_flags.append(visible_degree(lead_pos, LABEL_FLOOR_ONLY) == 1)
 
     n_synced = len(sync_times)
-    cont_rng = np.random.default_rng(_child_seed(seed, 11))
+    cont_rng = np.random.default_rng(child_seed(seed, 11))
     for _ in range(horizon - n_synced):
         if cont_rng.random() < p_floor:
             node = len(parent)

@@ -4,6 +4,12 @@ One step from state ``(tree, position)``: attach ``xi`` fresh leaves to the
 walker's current vertex, then jump to a neighbor chosen uniformly among all
 neighbors in the updated tree.  ``run`` records the whole trajectory and is
 a deterministic function of (initial state, schedule, horizon, seed).
+
+A tree is the step kernel's arena (``_kernels._NODE_ARRAYS``): seven int64
+arrays indexed by node id, children linked in creation order through
+``first_child``/``next_sibling``.  ``run_arrays`` copies the initial tree
+into an arena sized for the whole run, the kernel grows it in place, and a
+kept final tree is that arena itself.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from . import _kernels
 
 ENGINE_VERSION = "0.1.0"
 
-# final trees larger than this are dropped from trajectories unless asked for
-SNAPSHOT_NODE_LIMIT = 1_000_000
-
 # rows formatted per write by trajectory_to_csv
 CSV_BLOCK_ROWS = 65_536
+
+# what an arena slot holds before the kernel attaches a node there, per
+# node array: no parent, depth and birth 0, no links, no children
+_ARENA_FILL = np.array([[-1], [0], [0], [-1], [-1], [-1], [0]], dtype=np.int64)
 
 
 class SimulationError(ValueError):
@@ -31,119 +38,108 @@ class SimulationError(ValueError):
 
 @dataclass
 class RootedTree:
-    """Arena-indexed rooted tree: node ids are dense ints in birth order."""
+    """Rooted tree in the kernel's arena layout: node ids are dense ints in
+    birth order, and each field holds one int64 entry per node.  A node's
+    children are the ``next_sibling`` chain from ``first_child`` to
+    ``last_child``, in creation order; -1 marks a missing link."""
 
-    parent: list  # parent id, -1 for the root
-    depth: list   # graph distance to the root, cached at creation
-    birth_step: list
-    children: list  # list of child-id lists, creation order
-
-    @classmethod
-    def edge(cls) -> "RootedTree":
-        return cls(parent=[-1, 0], depth=[0, 1], birth_step=[0, 0],
-                   children=[[1], []])
-
-    @classmethod
-    def single_vertex(cls) -> "RootedTree":
-        return cls(parent=[-1], depth=[0], birth_step=[0], children=[[]])
+    parent: np.ndarray  # -1 for the root
+    depth: np.ndarray   # graph distance to the root
+    birth: np.ndarray   # step that attached the node, 0 for initial nodes
+    first_child: np.ndarray
+    next_sibling: np.ndarray
+    last_child: np.ndarray
+    n_children: np.ndarray
 
     @classmethod
-    def from_parents(cls, parents: Sequence[Optional[int]],
-                     birth_steps: Optional[Sequence[int]] = None) -> "RootedTree":
+    def from_parents(cls, parents: Sequence[Optional[int]]) -> "RootedTree":
+        """The tree with the given parent list (None or a negative value for
+        the root); children are linked in node-id order."""
         n = len(parents)
         if n == 0:
             raise SimulationError("tree must have at least one node")
-        norm = [-1 if p is None else int(p) for p in parents]
-        roots = [i for i, p in enumerate(norm) if p < 0]
+        parent = np.array([-1 if p is None or p < 0 else p for p in parents],
+                          dtype=np.int64)
+        roots = np.flatnonzero(parent < 0)
         if len(roots) != 1:
             raise SimulationError(f"expected exactly one root, found {len(roots)}")
-        children = [[] for _ in range(n)]
-        for i, p in enumerate(norm):
-            if p >= 0:
-                if not 0 <= p < n:
-                    raise SimulationError(f"node {i} has out-of-range parent {p}")
-                children[p].append(i)
-        depth = [-1] * n
-        stack = [roots[0]]
-        depth[roots[0]] = 0
-        order = 0
-        while stack:
-            v = stack.pop()
-            order += 1
-            for c in children[v]:
-                depth[c] = depth[v] + 1
-                stack.append(c)
-        if order != n:
+        if parent.max() >= n:
+            bad = int(np.argmax(parent))
+            raise SimulationError(f"node {bad} has out-of-range parent {parent[bad]}")
+        tree = cls(parent, *np.repeat(_ARENA_FILL[1:], n, axis=1))
+        # children in id order; each links to the next child of its parent
+        kids = np.flatnonzero(parent >= 0)
+        kids = kids[np.argsort(parent[kids], kind="stable")]
+        first = np.ones(len(kids), dtype=np.bool_)
+        first[1:] = parent[kids[1:]] != parent[kids[:-1]]
+        last = np.roll(first, -1)
+        tree.first_child[parent[kids[first]]] = kids[first]
+        tree.last_child[parent[kids[last]]] = kids[last]
+        tree.next_sibling[kids[~last]] = kids[1:][~last[:-1]]
+        tree.n_children[:] = np.bincount(parent[kids], minlength=n)
+        # depths level by level from the root; a node never reached lies on
+        # or below a cycle
+        level, d = roots, 0
+        while level.size:
+            tree.depth[level] = d
+            level = kids[np.isin(parent[kids], level)]
+            d += 1
+        if (tree.depth[kids] == 0).any():
             raise SimulationError("parent links contain a cycle or unreachable node")
-        births = list(birth_steps) if birth_steps is not None else [0] * n
-        return cls(parent=norm, depth=depth, birth_step=births, children=children)
+        return tree
 
     @classmethod
-    def from_arrays(cls, parent: np.ndarray, birth: np.ndarray) -> "RootedTree":
-        # kernel output: nodes in birth order, so parents precede children
-        n = len(parent)
-        children = [[] for _ in range(n)]
-        depth = [0] * n
-        par = [int(p) for p in parent]
-        for i, p in enumerate(par):
-            if p >= 0:
-                children[p].append(i)
-                depth[i] = depth[p] + 1
-        return cls(parent=par, depth=depth, birth_step=[int(b) for b in birth],
-                   children=children)
+    def from_arrays(cls, arrays: Sequence[np.ndarray], n_nodes: int) -> "RootedTree":
+        """The first ``n_nodes`` entries of a kernel arena, without a copy."""
+        return cls(*(a[:n_nodes] for a in arrays))
+
+    def arrays(self) -> tuple:
+        """The node arrays in ``_kernels._NODE_ARRAYS`` order."""
+        return tuple(getattr(self, name) for name in _kernels._NODE_ARRAYS)
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
 
-    @property
-    def root(self) -> int:
-        return self.parent.index(-1)
-
-    def degree(self, v: int) -> int:
-        return len(self.children[v]) + (1 if self.parent[v] >= 0 else 0)
-
     def degrees(self) -> np.ndarray:
-        par = np.asarray(self.parent)
-        return np.fromiter((len(c) for c in self.children), count=len(par),
-                           dtype=np.int64) + (par >= 0)
-
-    def add_leaf(self, at: int, birth_step: int) -> int:
-        node = len(self.parent)
-        self.parent.append(at)
-        self.depth.append(self.depth[at] + 1)
-        self.birth_step.append(birth_step)
-        self.children.append([])
-        self.children[at].append(node)
-        return node
-
-    def copy(self) -> "RootedTree":
-        return RootedTree(parent=list(self.parent), depth=list(self.depth),
-                          birth_step=list(self.birth_step),
-                          children=[list(c) for c in self.children])
+        return self.n_children + (self.parent >= 0)
 
     def validate(self) -> None:
-        """Check structural invariants; raises on violation."""
-        roots = [i for i, p in enumerate(self.parent) if p < 0]
+        """Check structural invariants; raises AssertionError on violation."""
+        n = self.node_count
+        parent = self.parent
+        assert all(len(a) == n for a in self.arrays()), "ragged node arrays"
+        roots = np.flatnonzero(parent < 0)
         assert len(roots) == 1, "exactly one root required"
-        assert self.depth[roots[0]] == 0
-        for i, p in enumerate(self.parent):
-            if p >= 0:
-                assert self.depth[i] == self.depth[p] + 1, f"depth cache broken at {i}"
-                assert i in self.children[p], f"parent/child links inconsistent at {i}"
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                assert self.parent[c] == v
+        assert parent[roots[0]] == -1 and parent.max() < n, "parent out of range"
+        assert self.depth[roots[0]] == 0, "root depth must be 0"
+        kids = np.flatnonzero(parent >= 0)
+        # with one root at depth 0, depth = parent's + 1 also rules out cycles
+        assert (self.depth[kids] == self.depth[parent[kids]] + 1).all(), \
+            "depth cache broken"
+        assert (self.n_children == np.bincount(parent[kids], minlength=n)).all(), \
+            "child counts disagree with the parents"
+        expected = RootedTree.from_parents(parent.tolist())
+        for name in ("first_child", "next_sibling", "last_child"):
+            assert np.array_equal(getattr(self, name), getattr(expected, name)), \
+                f"{name} links disagree with the parents"
 
 
 @dataclass
 class SimState:
     tree: RootedTree
     position: int
-    step: int = 0
 
-    def copy(self) -> "SimState":
-        return SimState(tree=self.tree.copy(), position=self.position, step=self.step)
+
+def _read_only(tree: RootedTree) -> RootedTree:
+    for a in tree.arrays():
+        a.flags.writeable = False
+    return tree
+
+
+# the standard initial trees, shared by every run that starts from them
+_EDGE = _read_only(RootedTree.from_parents([None, 0]))
+_VERTEX = _read_only(RootedTree.from_parents([None]))
 
 
 @dataclass
@@ -201,9 +197,9 @@ def make_initial(spec) -> SimState:
     if isinstance(spec, SimState):
         return spec
     if spec == "edge" or spec == {"kind": "edge"} or spec is None:
-        return SimState(tree=RootedTree.edge(), position=1)
+        return SimState(tree=_EDGE, position=1)
     if spec == "vertex" or spec == {"kind": "vertex"}:
-        return SimState(tree=RootedTree.single_vertex(), position=0)
+        return SimState(tree=_VERTEX, position=0)
     if isinstance(spec, dict):
         parents, walker = spec["parents"], spec["walker"]
     else:
@@ -221,7 +217,7 @@ def initial_descriptor(spec) -> dict:
     if spec == "vertex" or spec == {"kind": "vertex"}:
         return {"kind": "vertex"}
     if isinstance(spec, SimState):
-        return {"kind": "explicit", "parents": list(spec.tree.parent),
+        return {"kind": "explicit", "parents": spec.tree.parent.tolist(),
                 "walker": spec.position}
     if isinstance(spec, dict):
         return {"kind": "explicit", "parents": list(spec["parents"]),
@@ -230,56 +226,26 @@ def initial_descriptor(spec) -> dict:
     return {"kind": "explicit", "parents": list(parents), "walker": int(walker)}
 
 
-def step(state: SimState, xi: int, rng: np.random.Generator) -> SimState:
-    """One transition: attach ``xi`` leaves at the walker, then jump."""
-    if xi < 0:
-        raise SimulationError("leaf count must be nonnegative")
-    new = state.copy()
-    n = new.step + 1
-    pos = new.position
-    for _ in range(int(xi)):
-        new.tree.add_leaf(pos, birth_step=n)
-    neighbors = ([new.tree.parent[pos]] if new.tree.parent[pos] >= 0 else []) \
-        + new.tree.children[pos]
-    if not neighbors:
-        raise SimulationError("walker is isolated and cannot jump")
-    r = int(rng.random() * len(neighbors))
-    new.position = neighbors[min(r, len(neighbors) - 1)]
-    new.step = n
-    return new
-
-
 def _state_to_arrays(state: SimState, total: int):
+    """A kernel arena of ``total`` slots holding the state's tree in front:
+    the node arrays are the rows of one (7, total) block."""
     n0 = state.tree.node_count
-    parent = np.full(total, -1, dtype=np.int64)
-    depth = np.zeros(total, dtype=np.int64)
-    birth = np.zeros(total, dtype=np.int64)
-    first_child = np.full(total, -1, dtype=np.int64)
-    next_sibling = np.full(total, -1, dtype=np.int64)
-    last_child = np.full(total, -1, dtype=np.int64)
-    n_children = np.zeros(total, dtype=np.int64)
-    parent[:n0] = state.tree.parent
-    depth[:n0] = state.tree.depth
-    birth[:n0] = state.tree.birth_step
-    for v, kids in enumerate(state.tree.children):
-        n_children[v] = len(kids)
-        if kids:
-            first_child[v] = kids[0]
-            last_child[v] = kids[-1]
-            for a, b in zip(kids, kids[1:]):
-                next_sibling[a] = b
-    return parent, depth, birth, first_child, next_sibling, last_child, n_children
+    arena = np.empty((len(_ARENA_FILL), total), dtype=np.int64)
+    arena[:, :n0] = state.tree.arrays()
+    arena[:, n0:] = _ARENA_FILL
+    return tuple(arena)
 
 
 def run_arrays(initial, xi: np.ndarray, jump_u: np.ndarray,
-               keep_tree: Optional[bool] = None, seed: Optional[int] = None,
+               keep_tree: bool = False, seed: Optional[int] = None,
                schedule: Optional[dict] = None, initial_desc: Optional[dict] = None,
                extras: Optional[dict] = None) -> Trajectory:
     """Drive the kernel with explicit leaf counts and jump uniforms.
 
     ``xi[0]`` must be 0; ``jump_u`` must have the same length as ``xi`` with
     values in [0, 1).  This is the replay primitive underneath ``run`` and the
-    coupled runners.
+    coupled runners.  ``keep_tree`` keeps the final tree, the kernel's arena,
+    as ``final_tree``.
     """
     state = make_initial(initial)
     xi = np.ascontiguousarray(xi, dtype=np.int64)
@@ -300,9 +266,7 @@ def run_arrays(initial, xi: np.ndarray, jump_u: np.ndarray,
                                    xi, jump_u, positions, depths, leaf_flags)
     if final < 0:
         raise SimulationError("walker is isolated and cannot jump")
-    if keep_tree is None:
-        keep_tree = total <= SNAPSHOT_NODE_LIMIT
-    tree = RootedTree.from_arrays(arrays[0], arrays[2]) if keep_tree else None
+    tree = RootedTree.from_arrays(arrays, final) if keep_tree else None
     return Trajectory(positions=positions, depths=depths, xi=xi,
                       leaf_at_arrival=leaf_flags,
                       initial_tree_size=state.tree.node_count,
@@ -311,7 +275,7 @@ def run_arrays(initial, xi: np.ndarray, jump_u: np.ndarray,
 
 
 def run(initial, schedule, horizon: int, seed: int,
-        keep_tree: Optional[bool] = None) -> Trajectory:
+        keep_tree: bool = False) -> Trajectory:
     """Simulate ``horizon`` steps; bit-identical replays for equal arguments.
 
     The seed feeds a single generator that first samples the leaf-count

@@ -271,39 +271,6 @@ class SpeedCurvePoint:
     horizon: int
 
 
-def speed_curve(p_grid: Sequence[float], replicas: int, horizon: int, seed: int,
-                run_batch=None) -> List[SpeedCurvePoint]:
-    """Mean trajectory speed per Bernoulli parameter on a grid.
-
-    ``run_batch(p, replicas, horizon, seed) -> array of final depths`` can be
-    injected to parallelize; the default runs replicas serially.
-    """
-    from . import engine, schedules
-
-    if any(not 0.0 <= p <= 1.0 for p in p_grid):
-        raise ValueError("grid values must lie in [0, 1]")
-
-    def default_batch(p, replicas, horizon, seed):
-        sched = schedules.bernoulli(p)
-        out = np.empty(replicas, dtype=np.float64)
-        for r in range(replicas):
-            s = int(np.random.SeedSequence([seed, int(round(p * 10**9)), r])
-                    .generate_state(1)[0])
-            out[r] = engine.run("edge", sched, horizon, s, keep_tree=False).depths[-1]
-        return out
-
-    batch = run_batch or default_batch
-    points = []
-    for p in p_grid:
-        finals = np.asarray(batch(float(p), replicas, horizon, seed), dtype=np.float64)
-        v = finals / horizon
-        points.append(SpeedCurvePoint(
-            p=float(p), v_hat=float(v.mean()),
-            stderr=float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0,
-            replicas=len(v), horizon=horizon))
-    return points
-
-
 def speed_curve_to_csv(points: Sequence[SpeedCurvePoint], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -131,7 +131,7 @@ def _resolve_schedule(cfg: ExperimentConfig, default: Optional[dict] = None):
 def _task_trajectory_stats(args):
     seed, sched_desc, horizon, guard, initial = args
     sched = schedules.schedule_from_json(sched_desc)
-    traj = engine.run(initial, sched, horizon, seed, keep_tree=False)
+    traj = engine.run(initial, sched, horizon, seed)
     record = stopping.detect_renewals(traj, guard)
     out = {
         "final_depth": int(traj.depths[-1]),
@@ -153,25 +153,14 @@ def _task_trajectory_stats(args):
 
 def _task_final_depth(args):
     seed, p, horizon = args
-    traj = engine.run("edge", schedules.bernoulli(p), horizon, seed,
-                      keep_tree=False)
+    traj = engine.run("edge", schedules.bernoulli(p), horizon, seed)
     return int(traj.depths[-1])
-
-
-def _task_lil_pass1(args):
-    seed, sched_desc, horizon, guard = args
-    sched = schedules.schedule_from_json(sched_desc)
-    traj = engine.run("edge", sched, horizon, seed, keep_tree=False)
-    record = stopping.detect_renewals(traj, guard)
-    blocks = (stopping.renewal_blocks(record, drop_first=True).tolist()
-              if record.n_confirmed >= 3 else [])
-    return {"final_depth": int(traj.depths[-1]), "blocks": blocks}
 
 
 def _task_lil_pass2(args):
     seed, sched_desc, horizon, v_hat, sigma_hat, n_min = args
     sched = schedules.schedule_from_json(sched_desc)
-    traj = engine.run("edge", sched, horizon, seed, keep_tree=False)
+    traj = engine.run("edge", sched, horizon, seed)
     curve = estimators.lil_statistic(traj, v_hat, sigma_hat, n_min)
     return float(curve[-1])
 
@@ -250,8 +239,7 @@ def _task_monotone(args):
 def _run_simulate(cfg: ExperimentConfig, out: str) -> list:
     sched, desc = _resolve_schedule(cfg)
     seed = _replica_seed(cfg, 0)
-    traj = engine.run(cfg.params.get("initial", "edge"), sched, cfg.horizon, seed,
-                      keep_tree=False)
+    traj = engine.run(cfg.params.get("initial", "edge"), sched, cfg.horizon, seed)
     csv_path = os.path.join(out, "trajectory.csv")
     engine.trajectory_to_csv(traj, csv_path)
     record = stopping.detect_renewals(traj, cfg.guard)
@@ -280,16 +268,10 @@ def _run_renewal_stats(cfg: ExperimentConfig, out: str) -> list:
 
     with open(os.path.join(out, "renewals.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["replica", "k", "tau", "depth_at_tau", "delta_tau",
-                    "delta_depth", "censored"])
+        w.writerow(["replica", *stopping.RENEWAL_HEADER])
         for r, res in enumerate(results):
-            prev = None
-            for k, (tau, dep, cens) in enumerate(zip(
-                    res["taus"], res["tau_depths"], res["censored"]), start=1):
-                dt = "" if prev is None else tau - prev[0]
-                dd = "" if prev is None else dep - prev[1]
-                w.writerow([r, k, tau, dep, dt, dd, int(cens)])
-                prev = (tau, dep)
+            w.writerows([r, *row] for row in stopping.renewal_rows(
+                res["taus"], res["tau_depths"], res["censored"]))
 
     v_traj = np.array([r["final_depth"] / cfg.horizon for r in results])
     blocks = _pooled_blocks(results)
@@ -429,8 +411,8 @@ def _run_lil(cfg: ExperimentConfig, out: str) -> list:
     band = cfg.params.get("band", [0.4, 1.6])
     seeds = [_replica_seed(cfg, r)
              for r in range(cfg.replicas)]
-    pass1 = _map_replicas(_task_lil_pass1,
-                          [(s, desc, cfg.horizon, cfg.guard) for s in seeds],
+    pass1 = _map_replicas(_task_trajectory_stats,
+                          [(s, desc, cfg.horizon, cfg.guard, "edge") for s in seeds],
                           cfg.workers)
     blocks = _pooled_blocks(pass1)
     finals = np.array([r["final_depth"] for r in pass1], dtype=np.float64)
@@ -505,8 +487,7 @@ def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
         sched = schedules.bernoulli(float(marg["p"]))
         for i in range(len(direct)):
             s = _seed(cfg, i, "direct")
-            direct[i] = engine.run("edge", sched, int(marg["steps"]), s,
-                                   keep_tree=False).depths[-1]
+            direct[i] = engine.run("edge", sched, int(marg["steps"]), s).depths[-1]
         ks = stats.ks_2samp(extracted, direct)
         summary["marginal"] = {
             "p": float(marg["p"]), "steps": int(marg["steps"]),
@@ -609,7 +590,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
     depth_sq = np.zeros(horizon + 1, dtype=np.float64)
     for r in range(eval_replicas):
         s = _seed(cfg, r, "eval")
-        traj = engine.run("edge", sched, horizon, s, keep_tree=False)
+        traj = engine.run("edge", sched, horizon, s)
         depth_sum += traj.depths
         depth_sq += traj.depths.astype(np.float64) ** 2
     rows = []

@@ -12,6 +12,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .config import child_seed
+
 PROB_ATOL = 1e-12
 
 
@@ -299,8 +301,7 @@ def _pilot_mean_depth_curve(p: float, q: float, param: float,
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         xi = np.zeros(budget + 1, dtype=np.int64)
         xi[1:] = rng.random(budget) < p_arr[1:]
-        traj = engine.run_arrays("edge", xi, rng.random(budget + 1),
-                                 keep_tree=False)
+        traj = engine.run_arrays("edge", xi, rng.random(budget + 1))
         total += traj.depths
     steps = np.arange(budget + 1, dtype=np.float64)
     steps[0] = 1.0
@@ -314,9 +315,8 @@ def pilot_speed(p: float, pilot: PilotConfig, salt: int) -> float:
     sched = bernoulli(p)
     vals = []
     for r in range(pilot.replicas):
-        seed = int(np.random.SeedSequence([pilot.seed, salt, r]).generate_state(1)[0])
-        traj = engine.run("edge", sched, pilot.reference_horizon, seed,
-                          keep_tree=False)
+        traj = engine.run("edge", sched, pilot.reference_horizon,
+                          child_seed(pilot.seed, salt, r))
         vals.append(traj.depths[-1] / pilot.reference_horizon)
     return float(np.mean(vals))
 
@@ -357,7 +357,7 @@ def build_alternating(p: float, q: float, j_max: int,
                     f"could not certify checkpoint {j} within {pilot.step_budget} steps")
             curve = _pilot_mean_depth_curve(
                 p, q, param, tuple(checkpoints), budget, pilot.replicas,
-                seed=int(np.random.SeedSequence([pilot.seed, 3, j]).generate_state(1)[0]))
+                seed=child_seed(pilot.seed, 3, j))
             grid = _geometric_grid(max(pilot.grid_start, prev + 1), budget,
                                    pilot.grid_factor)
             dev = np.abs(curve[grid] - target)

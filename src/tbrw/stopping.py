@@ -145,22 +145,25 @@ def renewal_blocks(record: RenewalRecord, drop_first: bool = True) -> np.ndarray
     return deltas[1:] if drop_first else deltas
 
 
-def renewal_record_to_csv(record: RenewalRecord, path, replica: Optional[int] = None) -> None:
-    """Rows ``k,tau,depth_at_tau,delta_tau,delta_depth,censored`` (deltas blank
-    on the first row); an optional leading replica column for pooled files."""
+RENEWAL_HEADER = ["k", "tau", "depth_at_tau", "delta_tau", "delta_depth",
+                  "censored"]
+
+
+def renewal_rows(taus, depths, censored):
+    """The ``RENEWAL_HEADER`` rows of one run's candidates, given as lists:
+    deltas to the previous candidate, blank on the first row."""
+    rows, prev = [], None
+    for k, (tau, dep, cens) in enumerate(zip(taus, depths, censored), start=1):
+        rows.append([k, tau, dep, "" if prev is None else tau - prev[0],
+                     "" if prev is None else dep - prev[1], int(cens)])
+        prev = (tau, dep)
+    return rows
+
+
+def renewal_record_to_csv(record: RenewalRecord, path) -> None:
+    """One run's candidates as ``RENEWAL_HEADER`` rows."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        head = ["k", "tau", "depth_at_tau", "delta_tau", "delta_depth", "censored"]
-        if replica is not None:
-            head = ["replica"] + head
-        w.writerow(head)
-        prev = None
-        for k, (tau, dep, cens) in enumerate(
-                zip(record.taus, record.depths, record.censored), start=1):
-            dt = "" if prev is None else int(tau - prev[0])
-            dd = "" if prev is None else int(dep - prev[1])
-            row = [k, int(tau), int(dep), dt, dd, int(cens)]
-            if replica is not None:
-                row = [replica] + row
-            w.writerow(row)
-            prev = (tau, dep)
+        w.writerow(RENEWAL_HEADER)
+        w.writerows(renewal_rows(record.taus.tolist(), record.depths.tolist(),
+                                 record.censored.tolist()))

@@ -59,6 +59,39 @@ def enumerate_depth_distribution(parents, walker, xi_seq):
     return out
 
 
+def reference_walk(parents, walker, xi, jump_u):
+    """The walk stepped on a dict tree with the draws given: at step n attach
+    ``xi[n]`` leaves to the walker, then jump to neighbor
+    ``int(jump_u[n] * degree)`` (clamped) of the list parent first, then
+    children in creation order.  Returns ``(positions, depths, parent)``,
+    ``parent`` mapping every node of the final tree to its parent (-1 for
+    the root); raises ValueError when the walker has no neighbor."""
+    parent = {i: -1 if p is None else p for i, p in enumerate(parents)}
+    children = {i: [] for i in parent}
+    for i in sorted(parent):
+        if parent[i] >= 0:
+            children[parent[i]].append(i)
+
+    def depth(v):
+        return 0 if parent[v] < 0 else 1 + depth(parent[v])
+
+    pos = walker
+    positions, depths = [pos], [depth(pos)]
+    for n in range(1, len(xi)):
+        for _ in range(xi[n]):
+            node = len(parent)
+            parent[node] = pos
+            children[node] = []
+            children[pos].append(node)
+        nbrs = ([parent[pos]] if parent[pos] >= 0 else []) + children[pos]
+        if not nbrs:
+            raise ValueError("walker is isolated and cannot jump")
+        pos = nbrs[min(int(jump_u[n] * len(nbrs)), len(nbrs) - 1)]
+        positions.append(pos)
+        depths.append(depth(pos))
+    return positions, depths, parent
+
+
 def brute_force_renewals(depths, leaf_flags):
     """All steps satisfying the three regeneration clauses, by direct loops."""
     n = len(depths) - 1

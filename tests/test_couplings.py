@@ -17,9 +17,9 @@ def test_tv_distance_examples():
 
 def test_max_couple_identical_always_equal(rng):
     law = LeafLaw(support=(0, 2), probs=(0.25, 0.75))
-    for _ in range(200):
-        xa, xb, eq = couplings.max_couple(law, law, rng)
-        assert eq and xa == xb
+    xa, xb, eq = couplings.sample_coupled_arrays(law, law, 200, rng)
+    assert eq.all() and np.array_equal(xa, xb)
+    assert set(xa.tolist()) == {0, 2}
 
 
 def test_max_couple_agreement_probability(rng):

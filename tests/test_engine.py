@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbrw import engine, schedules
+from tbrw import _kernels, engine, schedules
 from tbrw.engine import SimulationError
 
-from oracles import enumerate_depth_distribution
+from oracles import enumerate_depth_distribution, reference_walk
 
 
 def test_make_initial_edge():
@@ -29,7 +29,7 @@ def test_make_initial_single_vertex():
 def test_make_initial_explicit_path():
     state = engine.make_initial({"parents": [None, 0, 1], "walker": 2})
     assert state.tree.depth[2] == 2
-    assert state.tree.degree(2) == 1
+    assert state.tree.degrees()[2] == 1
 
 
 def test_make_initial_rejects_empty_and_bad_walker():
@@ -41,19 +41,30 @@ def test_make_initial_rejects_empty_and_bad_walker():
         engine.make_initial({"parents": [None, 0, 0, None], "walker": 0})
 
 
+def _checked_walk(initial, xi, jump_u):
+    """run_arrays, checked against the dict stepper on the same draws."""
+    traj = engine.run_arrays(initial, xi, jump_u, keep_tree=True)
+    state = engine.make_initial(initial)
+    positions, depths, parent = reference_walk(
+        state.tree.parent.tolist(), state.position, xi, jump_u)
+    assert traj.positions.tolist() == positions
+    assert traj.depths.tolist() == depths
+    assert traj.final_tree.parent.tolist() == [parent[v] for v in sorted(parent)]
+    traj.validate()
+    return traj
+
+
 def test_step_single_neighbor_forced(rng):
-    state = engine.make_initial("edge")
-    new = engine.step(state, 0, rng)
-    assert new.position == 0
-    assert new.tree.node_count == 2
-    assert new.step == 1
+    traj = _checked_walk("edge", [0, 0], rng.random(2))
+    assert traj.positions[1] == 0
+    assert traj.final_tree.node_count == 2
+    assert traj.horizon == 1
 
 
 def test_step_zero_leaves_constant_node_count(rng):
-    state = engine.make_initial("edge")
-    for _ in range(10):
-        state = engine.step(state, 0, rng)
-        assert state.tree.node_count == 2
+    traj = _checked_walk("edge", np.zeros(11, dtype=np.int64), rng.random(11))
+    assert traj.final_tree.node_count == 2
+    assert traj.depths.tolist() == [1, 0] * 5 + [1]
 
 
 def test_step_uniform_jump_frequencies():
@@ -62,9 +73,10 @@ def test_step_uniform_jump_frequencies():
     R = 10_000
     counts = {}
     for r in range(R):
-        rng = np.random.default_rng(r)
-        state = engine.step(engine.make_initial("edge"), 2, rng)
-        counts[state.position] = counts.get(state.position, 0) + 1
+        jump_u = np.random.default_rng(r).random(2)
+        walk = _checked_walk if r < 100 else engine.run_arrays
+        pos = int(walk("edge", [0, 2], jump_u).positions[1])
+        counts[pos] = counts.get(pos, 0) + 1
     assert set(counts) == {0, 2, 3}
     tol = 4 * np.sqrt(1 / (4 * R))
     for c in counts.values():
@@ -72,9 +84,11 @@ def test_step_uniform_jump_frequencies():
 
 
 def test_step_isolated_walker_rejected(rng):
-    state = engine.make_initial("vertex")
+    jump_u = rng.random(2)
     with pytest.raises(SimulationError):
-        engine.step(state, 0, rng)
+        engine.run_arrays("vertex", [0, 0], jump_u)
+    with pytest.raises(ValueError):
+        reference_walk([None], 0, [0, 0], jump_u)
 
 
 def test_run_delta0_alternates_on_edge():
@@ -108,11 +122,12 @@ def test_run_deterministic_replay():
 
 
 def test_run_records_leaf_flags_against_snapshot():
-    traj = engine.run("edge", schedules.bernoulli(0.7), 300, seed=5)
+    traj = engine.run("edge", schedules.bernoulli(0.7), 300, seed=5,
+                      keep_tree=True)
     tree = traj.final_tree
     # degree-1 flags at the end of the run agree with the snapshot degrees
     last = traj.positions[-1]
-    assert traj.leaf_at_arrival[-1] == (tree.degree(last) == 1)
+    assert traj.leaf_at_arrival[-1] == (tree.degrees()[last] == 1)
     tree.validate()
 
 
@@ -120,7 +135,8 @@ def test_run_records_leaf_flags_against_snapshot():
        horizon=st.integers(1, 400))
 @settings(max_examples=40, deadline=None)
 def test_run_invariants_property(p, seed, horizon):
-    traj = engine.run("edge", schedules.bernoulli(p), horizon, seed)
+    traj = engine.run("edge", schedules.bernoulli(p), horizon, seed,
+                      keep_tree=True)
     # one edge per step
     assert (np.abs(np.diff(traj.depths)) == 1).all()
     assert (traj.depths >= 0).all()
@@ -139,17 +155,41 @@ def test_run_invariants_property(p, seed, horizon):
 def test_degree_growth_only_at_walker():
     sched = schedules.bernoulli(0.6)
     rng = np.random.default_rng(9)
-    state = engine.make_initial("edge")
-    degrees = {v: state.tree.degree(v) for v in range(2)}
-    for n in range(60):
-        xi = int(sched.law.sample(rng, 1)[0])
-        pos_before = state.position
-        state = engine.step(state, xi, rng)
-        for v, d in degrees.items():
-            now = state.tree.degree(v)
-            if v != pos_before:
-                assert now == d, "degree changed away from the walker"
-        degrees = {v: state.tree.degree(v) for v in range(state.tree.node_count)}
+    xi, _ = sched.sample_array(60, rng)
+    traj = _checked_walk("edge", xi, rng.random(61))
+    tree = traj.final_tree
+    has_parent = tree.parent >= 0
+
+    def degrees_after(n):
+        kids = np.flatnonzero((tree.birth <= n) & has_parent)
+        return np.bincount(tree.parent[kids], minlength=tree.node_count) + has_parent
+
+    for n in range(1, 61):
+        changed = np.flatnonzero(degrees_after(n) != degrees_after(n - 1))
+        assert set(changed.tolist()) <= {int(traj.positions[n - 1])}, \
+            "degree changed away from the walker"
+    assert np.array_equal(degrees_after(60), tree.degrees())
+
+
+def test_tree_validate_rejects_corrupted_arena():
+    tree = engine.run("edge", schedules.bernoulli(0.7), 200, seed=3,
+                      keep_tree=True).final_tree
+    tree.validate()
+    leaf = int(np.flatnonzero(tree.n_children == 0)[-1])
+    fork = int(np.flatnonzero(tree.n_children >= 2)[0])
+    cases = [("depth", leaf, tree.depth[leaf] + 1, "depth cache broken"),
+             ("depth", leaf, tree.depth[leaf] - 1, "depth cache broken"),
+             ("n_children", fork, tree.n_children[fork] - 1, "child counts"),
+             ("n_children", leaf, 1, "child counts"),
+             ("next_sibling", tree.first_child[fork], -1, "next_sibling links"),
+             ("first_child", fork, tree.last_child[fork], "first_child links"),
+             ("parent", leaf, -1, "exactly one root")]
+    for name, node, value, message in cases:
+        arrays = dict(zip(_kernels._NODE_ARRAYS,
+                          (a.copy() for a in tree.arrays())))
+        arrays[name][node] = value
+        with pytest.raises(AssertionError, match=message):
+            engine.RootedTree(**arrays).validate()
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -173,6 +213,7 @@ def test_run_rejects_bad_horizon():
 
 def test_run_from_explicit_state_keeps_depth_offset():
     initial = {"parents": [None, 0, 1, 2], "walker": 3}
-    traj = engine.run(initial, schedules.bernoulli(1.0), 50, seed=8)
+    traj = engine.run(initial, schedules.bernoulli(1.0), 50, seed=8,
+                      keep_tree=True)
     assert traj.depths[0] == 3
     traj.validate()

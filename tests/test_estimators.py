@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tbrw import engine, estimators, schedules, stopping
+from tbrw.config import parse_config
 from tbrw.engine import RootedTree
+from tbrw.experiments import run_experiment
 from tbrw.stopping import InsufficientBlocksError
 
 
@@ -122,7 +125,7 @@ def test_lil_statistic_domain():
 
 
 def test_degree_histogram_single_edge():
-    hist = estimators.degree_histogram(RootedTree.edge())
+    hist = estimators.degree_histogram(RootedTree.from_parents([None, 0]))
     assert hist.degrees.tolist() == [1]
     assert hist.fractions.tolist() == [1.0]
     assert hist.fractions.sum() == 1.0
@@ -176,13 +179,12 @@ def test_tail_survival_requires_events():
         estimators.tail_survival([5] * 50, [False] * 50)
 
 
-def test_speed_curve_grid_validation():
-    with pytest.raises(ValueError):
-        estimators.speed_curve([0.5, 1.5], 2, 10, 0)
-
-
-def test_speed_curve_endpoints():
-    pts = estimators.speed_curve([0.0, 1.0], replicas=8, horizon=400, seed=9)
+def test_speed_curve_endpoints(tmp_path):
+    run_experiment(parse_config({
+        "experiment": "speed-curve", "seed": 9, "horizon": 400, "replicas": 8,
+        "params": {"p_grid": [0.0, 1.0]}, "out": str(tmp_path)}))
+    pts = [estimators.SpeedCurvePoint(**pt) for pt in
+           json.loads((tmp_path / "summary.json").read_text())["points"]]
     # at p=0 only the 1/N alternation artifact remains
     assert pts[0].v_hat <= 1 / 400 + 1e-12
     assert 0.15 < pts[1].v_hat < 0.35

@@ -11,6 +11,8 @@ from tbrw import _kernels, couplings, engine, schedules
 from tbrw.config import parse_config
 from tbrw.experiments import run_experiment
 
+from oracles import reference_walk
+
 
 def _kernel_args(horizon, p, seed):
     rng = np.random.default_rng(seed)
@@ -222,23 +224,9 @@ def test_engine_matches_stepwise_reference():
         xi[1:] = rng.integers(0, 3, size=horizon)
         ju = rng.random(horizon + 1)
         traj = engine.run_arrays("edge", xi, ju)
-
-        children = {0: [1], 1: []}
-        parent = {0: -1, 1: 0}
-        depth = {0: 0, 1: 1}
-        pos, free = 1, 2
-        depths = [1]
-        for n in range(1, horizon + 1):
-            for _ in range(xi[n]):
-                children[free] = []
-                parent[free] = pos
-                depth[free] = depth[pos] + 1
-                children[pos].append(free)
-                free += 1
-            nbrs = ([parent[pos]] if parent[pos] >= 0 else []) + children[pos]
-            pos = nbrs[min(int(ju[n] * len(nbrs)), len(nbrs) - 1)]
-            depths.append(depth[pos])
+        positions, depths, _ = reference_walk([None, 0], 1, xi, ju)
         assert traj.depths.tolist() == depths
+        assert traj.positions.tolist() == positions
 
 
 # -- the grand swarm loop
