@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.1.1"
 
 # rows formatted per write by trajectory_to_csv
 CSV_BLOCK_ROWS = 65_536

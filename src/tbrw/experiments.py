@@ -611,7 +611,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
         for row in rows:
             w.writerow([row["j"], row["k_j"], repr(row["block_param"]),
                         repr(row["target_speed"]),
-                        repr(row["mean_relative_depth"]), repr(row["se"])])
+                        repr(float(row["mean_relative_depth"])), repr(row["se"])])
     gaps = [abs(a["mean_relative_depth"] - b["mean_relative_depth"])
             for a, b in zip(rows, rows[1:])]
     _write_json(os.path.join(out, "summary.json"), {

@@ -99,7 +99,7 @@ def test_manifest_contents(tmp_path):
     manifest = run_experiment(cfg)
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert on_disk["config_hash"] == cfg.hash() == manifest.config_hash
-    assert on_disk["engine_version"] == "0.1.0"
+    assert on_disk["engine_version"] == engine.ENGINE_VERSION
     assert on_disk["replica_seeds"] == [derive_seed(4, "simulate", 0, "run")]
     assert on_disk["backend"] == _kernels.BACKEND in ("c", "python")
     assert on_disk["fallback_reason"] == _kernels.FALLBACK_REASON

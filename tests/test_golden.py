@@ -38,7 +38,7 @@ GOLDEN_RUNS = {
         {"trajectory.csv":
          "863474c11fece5d6afc9e76017ac9d08c64067bacfb2ebadeb174eee5fd5c8e9",
          "trajectory.json":
-         "94092eea7e2d3c3397e57913e5f062b36746fe68a4290dbba1a7178d119289f4",
+         "ff0a98fdd61bb6cad56ce5418287d2661e8aa641766f3d1edec6e83436448fc2",
          "renewals.csv":
          "f976893d44a12b33f2d3ab15cddde23992eaf12ba041d7cd0d1c0dd185644e8e",
          "summary.json":
@@ -90,7 +90,7 @@ GOLDEN_RUNS = {
         {"params": {"p": 0.2, "q": 0.9, "j_max": 2, "eval_replicas": 2,
                     "pilot": {"replicas": 4, "reference_horizon": 500}}},
         {"checkpoints.csv":
-         "5bc7071adfb1200fcc2f81b8cf76860c555b8c98a457bde67dad4e35304d0126",
+         "e2e3002512e7c303c7b8f2a5193556f812e6693480593f2e431f1d711893c1ed",
          "summary.json":
          "661d5d5ee99dc1f5bd99b450a6e7d1dc13287d6f4c99ab9013ddd1cae0bb3389"}),
 }
