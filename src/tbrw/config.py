@@ -216,6 +216,12 @@ def parse_config(source, overrides: Optional[dict] = None) -> ExperimentConfig:
             raise ConfigError(f"schedule: {exc}") from None
     params = merged.get("params", {})
     _params_schema(experiment, horizon)(params, "params")
+    if experiment in ("speed-curve", "clt", "lil") or (
+            experiment == "coupling-grand"
+            and params.get("coalescence") is not None):
+        _require(replicas >= 2, "replicas",
+                 f"must be >= 2: {experiment} takes a standard deviation "
+                 "over the replicas")
     if experiment == "lil" and "n_min" not in params:
         _require(LIL_N_MIN <= horizon, "params.n_min",
                  f"defaults to {LIL_N_MIN}, above the horizon {horizon}; "

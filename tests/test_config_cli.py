@@ -10,12 +10,15 @@ from tbrw.experiments import run_experiment
 
 
 def test_parse_minimal_speed_curve():
+    params = {"p_grid": [round(0.1 * k, 1) for k in range(1, 11)]}
     cfg = parse_config({"experiment": "speed-curve", "seed": 1,
-                        "params": {"p_grid": [round(0.1 * k, 1)
-                                              for k in range(1, 11)]}})
+                        "replicas": 2, "params": params})
     assert cfg.experiment == "speed-curve"
-    assert cfg.replicas == 1
+    assert cfg.replicas == 2
     assert len(cfg.params["p_grid"]) == 10
+    # the default of one replica leaves the standard error undefined
+    with pytest.raises(ConfigError, match="replicas"):
+        parse_config({"experiment": "speed-curve", "seed": 1, "params": params})
 
 
 def test_parse_rejects_zero_replicas():
@@ -134,7 +137,9 @@ GRAND_PARAMS = {"p_grid": [0.0, 0.5, 1.0],
                 "marginal": {"p": 0.5, "steps": 20, "replicas": 2}}
 
 
-@pytest.mark.parametrize("experiment, params, error", [
+# (experiment, params, error[, replicas]); the config has 2 replicas unless
+# a case gives its own count
+PARAMS_FAILURES = [
     ("coupling-grand", {**GRAND_PARAMS, "marginal": {"p": 0.5, "steps": 20}},
      "ConfigError"),
     ("coupling-grand", {**GRAND_PARAMS, "p_grid": [0.5, 1.5]}, "ConfigError"),
@@ -157,12 +162,22 @@ GRAND_PARAMS = {"p_grid": [0.0, 0.5, 1.0],
     ("counterexample", {"p": 0.2, "q": 0.9, "j_max": 0}, "ConfigError"),
     ("lil", {"n_min": 2}, "ConfigError"),
     ("lil", {}, "ConfigError"),  # the default n_min is above the horizon
-])
+    # one replica, for runners that take a standard deviation over replicas
+    ("speed-curve", {"p_grid": [0.5]}, "ConfigError", 1),
+    ("coupling-grand", GRAND_PARAMS, "ConfigError", 1),
+    ("clt", {}, "ConfigError", 1),
+    ("lil", {"n_min": 10}, "ConfigError", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, params, error, replicas", [(*case, 2)[:4] for case in PARAMS_FAILURES],
+    ids=[f"{case[0]}-params{i}-{case[2]}" for i, case in enumerate(PARAMS_FAILURES)])
 def test_cli_params_failure_is_one_json_line(tmp_path, capsys, experiment,
-                                             params, error):
+                                             params, error, replicas):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "experiment": experiment, "seed": 1, "horizon": 20, "replicas": 2,
+        "experiment": experiment, "seed": 1, "horizon": 20, "replicas": replicas,
         "params": params, "out": str(tmp_path / "run")}))
     rc = cli.main([experiment, "--config", str(cfg_path)])
     assert rc == 2
@@ -231,6 +246,8 @@ def test_grand_null_blocks_are_absent(tmp_path):
     assert len(manifest["replica_seeds"]) == 2
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert "coalescence" not in summary and "marginal" not in summary
+    # with no coalescence block, no standard deviation needs two replicas
+    assert parse_config({**cfg.canonical(), "replicas": 1}).replicas == 1
 
 
 def test_manifest_seeds_replay_speed_curve_and_counterexample(tmp_path):
