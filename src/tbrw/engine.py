@@ -77,14 +77,14 @@ class RootedTree:
         tree.last_child[parent[kids[last]]] = kids[last]
         tree.next_sibling[kids[~last]] = kids[1:][~last[:-1]]
         tree.n_children[:] = np.bincount(parent[kids], minlength=n)
-        # depths level by level from the root; a node never reached lies on
-        # or below a cycle
-        level, d = roots, 0
-        while level.size:
-            tree.depth[level] = d
-            level = kids[np.isin(parent[kids], level)]
-            d += 1
-        if (tree.depth[kids] == 0).any():
+        # depths by pointer jumping: after k rounds each node holds its
+        # distance to its 2^k-th ancestor, the root standing for its own
+        up = np.where(parent < 0, roots[0], parent)
+        tree.depth[:] = parent >= 0
+        for _ in range(n.bit_length()):
+            tree.depth += tree.depth[up]
+            up = up[up]
+        if (up != roots[0]).any():
             raise SimulationError("parent links contain a cycle or unreachable node")
         return tree
 
