@@ -5,7 +5,9 @@ Runs the same seeded workloads through the C loops (``c``, built by gcc when
 verifies they produce identical outputs, and prints throughput tables: the
 walk's step loop on one long walk, then ``couplings.grand_run`` (the grand
 coupling's swarm) at each grand horizon, the Python loop only up to
-horizon 800.
+horizon 800.  A last table times short replicas on the active backend: one
+``engine.run_batch`` call against one ``engine.run`` per replica, whose
+rows must agree.
 
 Usage: python benchmarks/bench_kernels.py [--horizon N] [--repeat K]
 """
@@ -20,6 +22,9 @@ from tbrw import _kernels, couplings, engine, schedules
 
 GRAND_HORIZONS = (200, 800, 2000)
 PYTHON_GRAND_MAX = 800
+# the short replicas of the batch table, and their leaf law
+BATCH_REPLICAS, BATCH_HORIZON = 10_000, 100
+BATCH_LAW = schedules.iid(schedules.LeafLaw((0, 1, 3), (0.5, 0.3, 0.2)))
 
 
 def build_args(horizon: int, p: float, seed: int):
@@ -68,6 +73,35 @@ def bench_grand(repeat: int) -> None:
         _kernels.grand_loop = active
 
 
+def bench_batch(repeat: int) -> None:
+    """Time ``BATCH_REPLICAS`` replicas of ``BATCH_HORIZON`` steps as one
+    ``run_batch`` and as one ``run`` each; every row must equal its run."""
+    seeds = list(range(BATCH_REPLICAS))
+    timings = {"run_batch": float("inf"), "run": float("inf")}
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        batch = engine.run_batch("edge", BATCH_LAW, BATCH_HORIZON, seeds)
+        timings["run_batch"] = min(timings["run_batch"],
+                                   time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        runs = [engine.run("edge", BATCH_LAW, BATCH_HORIZON, s) for s in seeds]
+        timings["run"] = min(timings["run"], time.perf_counter() - t0)
+    for r, traj in enumerate(runs):
+        assert (np.array_equal(batch.positions[r], traj.positions)
+                and np.array_equal(batch.depths[r], traj.depths)
+                and np.array_equal(batch.leaf_at_arrival[r],
+                                   traj.leaf_at_arrival)
+                and batch.node_count[r] == traj.final_size), \
+            f"run_batch row {r} differs from run"
+    print(f"\n{BATCH_REPLICAS:,} replicas x {BATCH_HORIZON} steps of the "
+          f"{{0,1,3}} law on {_kernels.BACKEND} (best of {repeat}):")
+    print(f"{'path':<10} {'seconds':>10} {'us/replica':>11}")
+    for name, secs in timings.items():
+        print(f"{name:<10} {secs:>10.3f} {secs / BATCH_REPLICAS * 1e6:>11.1f}")
+    print(f"\nspeedup: {timings['run'] / timings['run_batch']:.1f}x "
+          "(rows bit-identical)")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizon", type=int, default=2_000_000)
@@ -110,6 +144,7 @@ def main() -> None:
         fast = min(r[1] for r in rows)
         print(f"\nspeedup: {slow / fast:.1f}x (outputs bit-identical)")
     bench_grand(opts.repeat)
+    bench_batch(opts.repeat)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-/* The loops of _kernels._simulate_python and _kernels._grand_python,
- * compiled by gcc on import.
+/* The loops of _kernels._simulate_python, _kernels._simulate_batch_python
+ * and _kernels._grand_python, compiled by gcc on import.
  *
  * Same arena layout, same arithmetic and, on a well-formed arena, the same
  * return values as the Python loops, which are their references: a jump
@@ -64,6 +64,46 @@ int64_t tbrw_simulate(int64_t *parent, int64_t *depth, int64_t *birth,
         leaf_flags[n] = (n_children[pos] + (parent[pos] >= 0)) == 1;
     }
     return free_node;
+}
+
+/* Run tbrw_simulate once per row of xi and jump_u, each row from the same
+ * initial tree.  The arena is one (7, capacity) block whose rows are the
+ * node arrays in tbrw_simulate's argument order; tree is the (7, n_nodes)
+ * block of the initial tree.  Before each row the arena gets the tree in
+ * front and empty slots after it, as engine fills a fresh arena (no parent,
+ * depth and birth 0, no links, no children); only the slots the previous
+ * row used are refilled.  finals[r] is row r's final node count, or -1 when
+ * its walker was isolated; its trajectory rows are then written only up to
+ * that step, and the next row runs.  Returns 0, or -2 on a link to no
+ * existing node. */
+int64_t tbrw_simulate_batch(int64_t *arena, int64_t capacity,
+                            const int64_t *tree, int64_t n_nodes, int64_t pos,
+                            int64_t rows, int64_t horizon,
+                            const int64_t *xi, const double *jump_u,
+                            int64_t *positions, int64_t *depths,
+                            uint8_t *leaf_flags, int64_t *finals)
+{
+    static const int64_t empty[7] = {-1, 0, 0, -1, -1, -1, 0};
+    int64_t used = capacity, steps = horizon + 1;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int k = 0; k < 7; k++) {
+            int64_t *a = arena + k * capacity;
+            memcpy(a, tree + k * n_nodes, n_nodes * sizeof(int64_t));
+            for (int64_t j = n_nodes; j < used; j++)
+                a[j] = empty[k];
+        }
+        int64_t final = tbrw_simulate(
+            arena, arena + capacity, arena + 2 * capacity,
+            arena + 3 * capacity, arena + 4 * capacity, arena + 5 * capacity,
+            arena + 6 * capacity, n_nodes, pos, horizon, xi + r * steps,
+            jump_u + r * steps, positions + r * steps, depths + r * steps,
+            leaf_flags + r * steps);
+        if (final == -2)
+            return -2;
+        finals[r] = final;
+        used = final >= 0 ? final : capacity;
+    }
+    return 0;
 }
 
 /* The grand swarm: balls are the gaps between the sorted cuts, node w's

@@ -3,23 +3,29 @@
 Two loops carry the runtime: the walk's per-step loop (attach leaves, jump
 to a uniform neighbor), under every experiment but the grand coupling, and
 the grand coupling's swarm step (split the ball at U, attach the new
-vertices, move every ball).  Each has two backends with bit-identical
+vertices, move every ball).  The batch loop runs the walk's loop once per
+row of (rows, horizon + 1) leaf-count and jump-uniform arrays, refilling
+one arena from the initial tree before each row, so a block of short
+replicas costs one call.  Each loop has two backends with bit-identical
 output:
 
-* ``c``: ``tbrw_simulate`` and ``tbrw_grand`` in ``_kernel.c``, built on
+* ``c``: ``tbrw_simulate``, ``tbrw_simulate_batch`` (which calls
+  ``tbrw_simulate`` per row) and ``tbrw_grand`` in ``_kernel.c``, built on
   first import by the system ``gcc`` with ``-O2 -shared -fPIC`` into
   ``__pycache__/_kernel.<key>.so`` beside this file, where the key hashes
   the source and the flags.  Later imports only load the cached library
   with ctypes; forked pool workers inherit it.
-* ``python``: ``_simulate_python`` and ``_grand_python`` below, the same
-  loops run step by step.  They are the references the C loops are tested
-  against, and the fallback when gcc is not on PATH, the build fails or the
-  cache cannot be written; ``FALLBACK_REASON`` then says which.
+* ``python``: ``_simulate_python``, ``_simulate_batch_python`` and
+  ``_grand_python`` below, the same loops run step by step.  They are the
+  references the C loops are tested against, and the fallback when gcc is
+  not on PATH, the build fails or the cache cannot be written;
+  ``FALLBACK_REASON`` then says which.
 
-``BACKEND`` names the backend that ``simulate_loop`` and ``grand_loop``
-run.  Neither backend consumes randomness of its own: leaf counts, jump
-uniforms and the grand coupling's uniform stream are precomputed arrays,
-which is what makes the two interchangeable and every run replayable.
+``BACKEND`` names the backend that ``simulate_loop``, ``simulate_batch``
+and ``grand_loop`` run.  Neither backend consumes randomness of its own:
+leaf counts, jump uniforms and the grand coupling's uniform stream are
+precomputed arrays, which is what makes the two interchangeable and every
+run replayable.
 """
 
 import bisect
@@ -79,6 +85,25 @@ def _simulate_python(parent, depth, birth, first_child, next_sibling,
         depths[n] = depth[pos]
         leaf_flags[n] = (n_children[pos] + (1 if parent[pos] >= 0 else 0)) == 1
     return free
+
+
+def _simulate_batch_python(arena, tree, pos, xi, jump_u, positions, depths,
+                           leaf_flags, finals):
+    """Run ``_simulate_python`` once per row of ``xi`` and ``jump_u``, each
+    row from the same initial tree, writing row r of the trajectory arrays.
+
+    ``arena`` is a (7, capacity) block of node arrays in ``_NODE_ARRAYS``
+    order and ``tree`` the (7, n_nodes) block of the initial tree; before
+    each row the arena gets the tree in front and ``_NODE_FILL`` after it.
+    ``finals[r]`` is row r's final node count, or -1 when its walker was
+    isolated, in which case the next row runs.
+    """
+    n_nodes, fill = tree.shape[1], np.array(_NODE_FILL)[:, None]
+    for r in range(len(xi)):
+        arena[:, :n_nodes] = tree
+        arena[:, n_nodes:] = fill
+        finals[r] = _simulate_python(*arena, n_nodes, pos, xi[r], jump_u[r],
+                                     positions[r], depths[r], leaf_flags[r])
 
 
 def _grand_python(parent, depth, birth, first_child, next_sibling, last_child,
@@ -223,31 +248,42 @@ def _load_c():
         if not os.path.exists(lib_path):
             _build(gcc, lib_path)
         lib = ctypes.CDLL(lib_path)
-        simulate, grand = lib.tbrw_simulate, lib.tbrw_grand
+        simulate, batch, grand = (lib.tbrw_simulate, lib.tbrw_simulate_batch,
+                                  lib.tbrw_grand)
     except (OSError, AttributeError) as exc:
         return None, f"C kernel build failed: {exc}"
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     simulate.argtypes = [ptr] * 7 + [i64] * 3 + [ptr] * 5
+    batch.argtypes = [ptr, i64, ptr] + [i64] * 4 + [ptr] * 6
     grand.argtypes = [ptr] * 7 + [i64] * 3 + [ptr, i64] + [ptr] * 5
-    simulate.restype = grand.restype = i64
-    return (simulate, grand), None
+    simulate.restype = batch.restype = grand.restype = i64
+    return (simulate, batch, grand), None
 
 
 _c_lib, FALLBACK_REASON = _load_c()
-_c_simulate, _c_grand = _c_lib or (None, None)
+_c_simulate, _c_simulate_batch, _c_grand = _c_lib or (None, None, None)
 
 _INT64, _FLOAT64, _BOOL = (np.dtype(np.int64), np.dtype(np.float64),
                            np.dtype(np.bool_))
 _NODE_ARRAYS = ("parent", "depth", "birth", "first_child", "next_sibling",
                 "last_child", "n_children")
+# what each node array holds in a slot no node occupies yet: no parent,
+# depth and birth 0, no links, no children (tbrw_simulate_batch's "empty")
+_NODE_FILL = (-1, 0, 0, -1, -1, -1, 0)
 
 
 def _address(name, a, dtype, length=None, writable=True,
-             min_length=0) -> int:
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+             min_length=0, shape=None) -> int:
+    """``a``'s data pointer once it is a C-contiguous ndarray of ``dtype``
+    (writable unless told otherwise) of the given ``length`` (or at least
+    ``min_length``) entries, or of the given 2-d ``shape``."""
+    ndim = 1 if shape is None else len(shape)
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
             and a.flags.c_contiguous and (a.flags.writeable or not writable)):
         raise ValueError(f"{name}: need a {'writable ' if writable else ''}"
-                         f"C-contiguous 1-d {dtype} array")
+                         f"C-contiguous {ndim}-d {dtype} array")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name}: shape {a.shape}, need {shape}")
     if length is not None and len(a) != length:
         raise ValueError(f"{name}: length {len(a)}, need {length}")
     if len(a) < min_length:
@@ -297,6 +333,55 @@ def _simulate_c(parent, depth, birth, first_child, next_sibling, last_child,
     return final
 
 
+def _simulate_batch_c(arena, tree, pos, xi, jump_u, positions, depths,
+                      leaf_flags, finals):
+    """``_simulate_batch_python`` in C, after checking the whole batch once.
+
+    Raises ``ValueError`` before the call unless ``tree`` is a (7, n_nodes)
+    and ``arena`` a writable (7, capacity) int64 block, ``xi`` (int64),
+    ``jump_u`` (float64), ``positions``, ``depths`` (int64) and
+    ``leaf_flags`` (bool) all have one shape (rows, horizon + 1) with
+    horizon + 1 >= 1, and ``finals`` (int64) one entry per row; or when
+    ``pos`` is not one of the ``n_nodes`` nodes, a leaf count is negative,
+    a row's counts do not fit the capacity after the tree, or a jump uniform
+    lies outside [0, 1).  As in ``_simulate_c``, a link to no existing node
+    raises too.
+    """
+    for name, a in (("tree", tree), ("arena", arena), ("xi", xi)):
+        if not (isinstance(a, np.ndarray) and a.ndim == 2):
+            raise ValueError(f"{name}: need a 2-d array")
+    n_nodes, capacity = tree.shape[1], arena.shape[1]
+    rows, steps = xi.shape
+    tree_ptr = _address("tree", tree, _INT64, writable=False,
+                        shape=(len(_NODE_ARRAYS), n_nodes))
+    arena_ptr = _address("arena", arena, _INT64,
+                         shape=(len(_NODE_ARRAYS), capacity))
+    xi_ptr = _address("xi", xi, _INT64, writable=False, shape=(rows, steps))
+    u_ptr = _address("jump_u", jump_u, _FLOAT64, writable=False,
+                     shape=(rows, steps))
+    out_ptrs = [_address("positions", positions, _INT64, shape=(rows, steps)),
+                _address("depths", depths, _INT64, shape=(rows, steps)),
+                _address("leaf_flags", leaf_flags, _BOOL, shape=(rows, steps)),
+                _address("finals", finals, _INT64, rows)]
+    if steps < 1:
+        raise ValueError("xi: need at least one column")
+    pos = operator.index(pos)
+    if not 0 <= pos < n_nodes:
+        raise ValueError(f"pos {pos} is not one of the {n_nodes} nodes")
+    if rows == 0:
+        return
+    # as in _simulate_c, counts bounded by the capacity cannot wrap a row sum
+    if xi.min() < 0 or xi.max() > capacity \
+            or n_nodes + int(xi.sum(axis=1).max()) > capacity:
+        raise ValueError(f"xi: need counts >= 0 whose row sums fit {capacity} "
+                         f"node slots after the {n_nodes} tree nodes")
+    if not (jump_u.min() >= 0.0 and jump_u.max() < 1.0):  # NaN fails too
+        raise ValueError("jump_u: every value must lie in [0, 1)")
+    if _c_simulate_batch(arena_ptr, capacity, tree_ptr, n_nodes, pos, rows,
+                         steps - 1, xi_ptr, u_ptr, *out_ptrs) == -2:
+        raise ValueError("arena: a link names a node that does not exist")
+
+
 def _grand_c(parent, depth, birth, first_child, next_sibling, last_child,
              n_children, n_nodes, pos, horizon, stream, uniforms,
              label_start, label_lo, label_hi, ball_steps):
@@ -342,14 +427,18 @@ def _grand_c(parent, depth, birth, first_child, next_sibling, last_child,
 
 BACKEND = "c" if _c_lib is not None else "python"
 simulate_loop = _simulate_c if _c_lib is not None else _simulate_python
+simulate_batch = (_simulate_batch_c if _c_lib is not None
+                  else _simulate_batch_python)
 grand_loop = _grand_c if _c_lib is not None else _grand_python
 
 
 def available_backends(kernel: str = "simulate") -> dict:
-    """Map backend name -> the ``simulate`` or ``grand`` loop, for
-    benchmarks and equivalence tests."""
+    """Map backend name -> the ``simulate``, ``batch`` or ``grand`` loop,
+    for benchmarks and equivalence tests."""
     backends = {"python": {"simulate": _simulate_python,
+                           "batch": _simulate_batch_python,
                            "grand": _grand_python}}
     if _c_lib is not None:
-        backends["c"] = {"simulate": _simulate_c, "grand": _grand_c}
+        backends["c"] = {"simulate": _simulate_c, "batch": _simulate_batch_c,
+                         "grand": _grand_c}
     return {name: loops[kernel] for name, loops in backends.items()}

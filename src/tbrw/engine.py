@@ -10,6 +10,11 @@ arrays indexed by node id, children linked in creation order through
 ``first_child``/``next_sibling``.  ``run_arrays`` copies the initial tree
 into an arena sized for the whole run, the kernel grows it in place, and a
 kept final tree is that arena itself.
+
+``run_batch`` runs many seeds from one initial state in one kernel call.
+Its ``TrajectoryBatch`` holds one row per seed: (rows, horizon + 1) arrays
+of positions, depths, leaf counts and leaf flags, row r equal to the arrays
+of ``run`` with ``seeds[r]``, and each row's final node count.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ ENGINE_VERSION = "0.1.1"
 # rows formatted per write by trajectory_to_csv
 CSV_BLOCK_ROWS = 65_536
 
-# what an arena slot holds before the kernel attaches a node there, per
-# node array: no parent, depth and birth 0, no links, no children
-_ARENA_FILL = np.array([[-1], [0], [0], [-1], [-1], [-1], [0]], dtype=np.int64)
+# what an arena slot holds before the kernel attaches a node there, one
+# column of the node arrays
+_ARENA_FILL = np.array(_kernels._NODE_FILL, dtype=np.int64)[:, None]
+
+ISOLATED = "walker is isolated and cannot jump"
 
 
 class SimulationError(ValueError):
@@ -140,6 +147,27 @@ def _read_only(tree: RootedTree) -> RootedTree:
 # the standard initial trees, shared by every run that starts from them
 _EDGE = _read_only(RootedTree.from_parents([None, 0]))
 _VERTEX = _read_only(RootedTree.from_parents([None]))
+
+
+@dataclass
+class TrajectoryBatch:
+    """Finished runs of one initial state, one row per seed: row r of each
+    (rows, horizon + 1) array is what ``run`` records for ``seeds[r]``.
+
+    ``node_count[r]`` is row r's final tree size, or -1 where its walker was
+    isolated; such a row holds its trajectory only up to the step that
+    failed, zeros after it.
+    """
+
+    positions: np.ndarray
+    depths: np.ndarray
+    xi: np.ndarray
+    leaf_at_arrival: np.ndarray
+    node_count: np.ndarray
+
+    @property
+    def isolated(self) -> np.ndarray:
+        return self.node_count < 0
 
 
 @dataclass
@@ -265,7 +293,7 @@ def run_arrays(initial, xi: np.ndarray, jump_u: np.ndarray,
     final = _kernels.simulate_loop(*arrays, state.tree.node_count, state.position,
                                    xi, jump_u, positions, depths, leaf_flags)
     if final < 0:
-        raise SimulationError("walker is isolated and cannot jump")
+        raise SimulationError(ISOLATED)
     tree = RootedTree.from_arrays(arrays, final) if keep_tree else None
     return Trajectory(positions=positions, depths=depths, xi=xi,
                       leaf_at_arrival=leaf_flags,
@@ -274,21 +302,52 @@ def run_arrays(initial, xi: np.ndarray, jump_u: np.ndarray,
                       initial=initial_desc, extras=extras or {})
 
 
-def run(initial, schedule, horizon: int, seed: int,
-        keep_tree: bool = False) -> Trajectory:
-    """Simulate ``horizon`` steps; bit-identical replays for equal arguments.
-
-    The seed feeds a single generator that first samples the leaf-count
-    array from the schedule, then the jump uniforms.
-    """
+def _draw(schedule, horizon: int, seed: int):
+    """One run's stream: ``(xi, extras, jump_u)`` from a single generator
+    that first samples the leaf-count array from the schedule, then the
+    jump uniforms."""
     if horizon < 1:
         raise SimulationError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     xi, extras = schedule.sample_array(horizon, rng)
-    jump_u = rng.random(horizon + 1)
+    return xi, extras, rng.random(horizon + 1)
+
+
+def run(initial, schedule, horizon: int, seed: int,
+        keep_tree: bool = False) -> Trajectory:
+    """Simulate ``horizon`` steps; bit-identical replays for equal arguments."""
+    xi, extras, jump_u = _draw(schedule, horizon, seed)
     return run_arrays(initial, xi, jump_u, keep_tree=keep_tree,
                       seed=seed, schedule=schedule.descriptor(),
                       initial_desc=initial_descriptor(initial), extras=extras)
+
+
+def run_batch(initial, schedule, horizon: int,
+              seeds: Sequence[int]) -> TrajectoryBatch:
+    """``run`` for each seed, in one kernel call on one reused arena.
+
+    Each row's stream is drawn as ``run`` draws it, so row r is
+    bit-identical to ``run(initial, schedule, horizon, seeds[r])``.  An
+    isolated walker does not raise: its row is marked in ``node_count``.
+    """
+    state = make_initial(initial)
+    rows, steps = len(seeds), horizon + 1
+    xi = np.empty((rows, steps), dtype=np.int64)
+    jump_u = np.empty((rows, steps), dtype=np.float64)
+    for r, seed in enumerate(seeds):
+        xi[r], _, jump_u[r] = _draw(schedule, horizon, seed)
+    tree = np.array(state.tree.arrays())
+    capacity = tree.shape[1] + int(xi.sum(axis=1).max(initial=0))
+    arena = np.empty((len(tree), capacity), dtype=np.int64)
+    batch = TrajectoryBatch(positions=np.zeros((rows, steps), dtype=np.int64),
+                            depths=np.zeros((rows, steps), dtype=np.int64),
+                            xi=xi,
+                            leaf_at_arrival=np.zeros((rows, steps), dtype=np.bool_),
+                            node_count=np.empty(rows, dtype=np.int64))
+    _kernels.simulate_batch(arena, tree, state.position, xi, jump_u,
+                            batch.positions, batch.depths,
+                            batch.leaf_at_arrival, batch.node_count)
+    return batch
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -3,6 +3,11 @@
 Every experiment is a pure function of (config, master seed): replica streams
 are derived per index, aggregation is order-independent, and all CSV/JSON
 outputs are byte-identical across reruns and across worker counts.
+
+The runners that pool plain walks (renewal-stats, tail, clt, lil's first
+pass and speed-curve) simulate contiguous chunks of replicas with
+``engine.run_batch``, one task per chunk, and each task returns only flat
+arrays (see ``_task_block``).
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .config import LIL_N_MIN, ExperimentConfig, RunManifest, derive_seed
 
 class ExperimentError(RuntimeError):
     pass
+
+
+# the most walker steps one block task simulates, unless a single replica
+# is longer: bounds a task's arrays to some tens of MB
+STEP_BUDGET = 1 << 20
 
 
 class ReplicaError(ExperimentError):
@@ -88,31 +98,28 @@ def _seed(cfg: ExperimentConfig, replica: int, role: str) -> int:
     return derive_seed(cfg.master_seed, cfg.experiment, replica, role)
 
 
-def _replica_seed(cfg: ExperimentConfig, replica: int) -> int:
-    return _seed(cfg, replica, _SEED_ROLES.get(cfg.experiment, "run"))
-
-
 def _p_role(p: float) -> str:
     return f"p={p!r}"
 
 
-def _run_seeds(cfg: ExperimentConfig):
-    """Every replica seed the runner derives, in the order RunManifest states."""
+def _run_seeds(cfg: ExperimentConfig) -> list:
+    """Every replica seed the runner uses, in the order RunManifest states;
+    ``run_experiment`` derives them once and hands the runner this list."""
     if cfg.experiment == "speed-curve":
-        return (_seed(cfg, r, _p_role(p))
+        return [_seed(cfg, r, _p_role(p))
                 for p in map(float, cfg.params.get("p_grid") or [])
-                for r in range(cfg.replicas))
+                for r in range(cfg.replicas)]
     if cfg.experiment == "counterexample":
         evals = int(cfg.params.get("eval_replicas", 100))
-        return itertools.chain([_seed(cfg, 0, "pilot")],
-                               (_seed(cfg, r, "eval") for r in range(evals)))
-    replicas = (_replica_seed(cfg, r) for r in range(cfg.replicas))
+        return [_seed(cfg, 0, "pilot")] + [_seed(cfg, r, "eval")
+                                           for r in range(evals)]
+    role = _SEED_ROLES.get(cfg.experiment, "run")
+    seeds = [_seed(cfg, r, role) for r in range(cfg.replicas)]
     marginal = cfg.params.get("marginal")  # null: the block is absent
     if cfg.experiment == "coupling-grand" and marginal is not None:
-        walks = int(marginal["replicas"])
-        return itertools.chain(replicas,
-                               (_seed(cfg, i, "direct") for i in range(walks)))
-    return replicas
+        seeds += [_seed(cfg, i, "direct")
+                  for i in range(int(marginal["replicas"]))]
+    return seeds
 
 
 def _resolve_schedule(cfg: ExperimentConfig, default: Optional[dict] = None):
@@ -128,33 +135,67 @@ def _resolve_schedule(cfg: ExperimentConfig, default: Optional[dict] = None):
 # replica tasks (top level so they pickle under process pools)
 
 
-def _task_trajectory_stats(args):
-    seed, sched_desc, horizon, guard, initial = args
-    sched = schedules.schedule_from_json(sched_desc)
-    traj = engine.run(initial, sched, horizon, seed)
-    record = stopping.detect_renewals(traj, guard)
-    out = {
-        "final_depth": int(traj.depths[-1]),
-        "taus": record.taus.tolist(),
-        "tau_depths": record.depths.tolist(),
-        "censored": record.censored.tolist(),
-        "guard": record.guard,
-        "extras": traj.extras,
-        # optional diagnostic: the edge-start root is node 0
-        "root_return": bool((traj.positions[1:] == 0).any())
-        if initial == "edge" else None,
-    }
-    if record.n_confirmed >= 3:
-        out["blocks"] = stopping.renewal_blocks(record, drop_first=True).tolist()
-    else:
-        out["blocks"] = []
+def _chunks(n: int, horizon: int, workers: int) -> list:
+    """Contiguous ``(lo, hi)`` replica ranges covering 0..n-1: about four
+    per worker, each of at most ``STEP_BUDGET`` steps or one replica."""
+    size = max(1, min(math.ceil(n / (4 * workers)),
+                      STEP_BUDGET // (horizon + 1)))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _task_block(args):
+    """Run one chunk of replicas with ``engine.run_batch`` and reduce it to
+    flat arrays: per replica ``final_depth``, and unless ``final_only`` the
+    renewal ``guard`` and, from the edge, ``root_return`` (the walker
+    visited the root, node 0); the renewal candidates ``row``, ``tau``,
+    ``depth`` and ``censored``; the renewal blocks (first spacing of each
+    replica dropped) as ``blocks`` with their ``block_row``; and the rows
+    whose walker was ``isolated``.  Rows count from the chunk's start."""
+    seeds, sched, horizon, guard, initial, final_only = args
+    batch = engine.run_batch(initial, sched, horizon, seeds)
+    out = {"final_depth": batch.depths[:, -1].copy(),
+           "isolated": np.flatnonzero(batch.isolated)}
+    if final_only:
+        return out
+    found = stopping.detect_renewal_rows(batch.depths, batch.leaf_at_arrival,
+                                         guard)
+    out["block_row"], out["blocks"] = found.blocks(drop_first=True)
+    out.update(guard=found.guard, row=found.row, tau=found.taus,
+               depth=found.depths, censored=found.censored)
+    if initial == "edge":
+        out["root_return"] = (batch.positions[:, 1:] == 0).any(axis=1)
     return out
 
 
-def _task_final_depth(args):
-    seed, p, horizon = args
-    traj = engine.run("edge", schedules.bernoulli(p), horizon, seed)
-    return int(traj.depths[-1])
+# the fields of a block task's result that hold row numbers
+_ROW_FIELDS = ("isolated", "row", "block_row")
+
+
+def _run_blocks(seeds: Sequence[int], sched, horizon: int, guard, initial,
+                workers: int, final_only: bool = False) -> dict:
+    """One replica per seed, in ``_chunks`` of ``_task_block``: the tasks'
+    fields joined in replica order, row numbers counting from replica 0.
+
+    A failed task fails every replica of its chunk, and an isolated walker
+    fails its replica with the message ``engine.run`` raises."""
+    bounds = _chunks(len(seeds), horizon, workers)
+    args = [(seeds[lo:hi], sched, horizon, guard, initial, final_only)
+            for lo, hi in bounds]
+    try:
+        parts = _map_replicas(_task_block, args, workers)
+    except ReplicaError as err:
+        raise ReplicaError([(r, msg) for c, msg in err.failures
+                            for r in range(*bounds[c])]) from None
+    for (lo, _), part in zip(bounds, parts):
+        for key in _ROW_FIELDS:
+            if key in part:
+                part[key] += lo
+    joined = {key: np.concatenate([part[key] for part in parts])
+              for key in parts[0]}
+    if len(joined["isolated"]):
+        raise ReplicaError([(int(r), f"SimulationError: {engine.ISOLATED}")
+                            for r in joined["isolated"]])
+    return joined
 
 
 def _task_lil_pass2(args):
@@ -236,10 +277,10 @@ def _task_monotone(args):
 # runners
 
 
-def _run_simulate(cfg: ExperimentConfig, out: str) -> list:
-    sched, desc = _resolve_schedule(cfg)
-    seed = _replica_seed(cfg, 0)
-    traj = engine.run(cfg.params.get("initial", "edge"), sched, cfg.horizon, seed)
+def _run_simulate(cfg: ExperimentConfig, out: str, seeds: list) -> list:
+    sched, _ = _resolve_schedule(cfg)
+    traj = engine.run(cfg.params.get("initial", "edge"), sched, cfg.horizon,
+                      seeds[0])
     csv_path = os.path.join(out, "trajectory.csv")
     engine.trajectory_to_csv(traj, csv_path)
     record = stopping.detect_renewals(traj, cfg.guard)
@@ -254,29 +295,21 @@ def _run_simulate(cfg: ExperimentConfig, out: str) -> list:
     return ["trajectory.csv", "trajectory.json", "renewals.csv", "summary.json"]
 
 
-def _pooled_blocks(per_replica: Sequence[dict]) -> np.ndarray:
-    rows = [b for r in per_replica for b in r["blocks"]]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+def _run_renewal_stats(cfg: ExperimentConfig, out: str, seeds: list) -> list:
+    sched, _ = _resolve_schedule(cfg)
+    initial = cfg.params.get("initial", "edge")
+    res = _run_blocks(seeds, sched, cfg.horizon, cfg.guard, initial,
+                      cfg.workers)
 
-
-def _run_renewal_stats(cfg: ExperimentConfig, out: str) -> list:
-    sched, desc = _resolve_schedule(cfg)
-    args = [(_replica_seed(cfg, r), desc,
-             cfg.horizon, cfg.guard, cfg.params.get("initial", "edge"))
-            for r in range(cfg.replicas)]
-    results = _map_replicas(_task_trajectory_stats, args, cfg.workers)
-
+    rows = stopping.renewal_rows(res["row"], res["tau"], res["depth"],
+                                 res["censored"])
     with open(os.path.join(out, "renewals.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["replica", *stopping.RENEWAL_HEADER])
-        for r, res in enumerate(results):
-            w.writerows([r, *row] for row in stopping.renewal_rows(
-                res["taus"], res["tau_depths"], res["censored"]))
+        w.writerows([r, *row] for r, row in zip(res["row"].tolist(), rows))
 
-    v_traj = np.array([r["final_depth"] / cfg.horizon for r in results])
-    blocks = _pooled_blocks(results)
-    root_returns = [r["root_return"] for r in results
-                    if r.get("root_return") is not None]
+    v_traj = res["final_depth"] / cfg.horizon
+    blocks = res["blocks"].astype(np.float64)
     summary = {
         "replicas": cfg.replicas,
         "horizon": cfg.horizon,
@@ -284,22 +317,24 @@ def _run_renewal_stats(cfg: ExperimentConfig, out: str) -> list:
         "speed_trajectory_se": float(v_traj.std(ddof=1) / math.sqrt(len(v_traj)))
         if len(v_traj) > 1 else 0.0,
         "n_blocks": int(blocks.shape[0]),
-        "no_renewal_replicas": sum(1 for r in results if not r["taus"]),
-        "root_return_freq": float(np.mean(root_returns)) if root_returns else None,
+        "no_renewal_replicas": cfg.replicas - len(np.unique(res["row"])),
+        "root_return_freq": float(np.mean(res["root_return"]))
+        if initial == "edge" else None,
     }
     if blocks.shape[0] >= 2:
         sp = estimators.speed_renewal(blocks)
         summary["speed_renewal"] = sp.value
         summary["speed_renewal_se"] = sp.stderr
         summary["variance_candidates"] = estimators.sigma_candidates(blocks, sp.value)
-        # independence diagnostics on the step spacings
-        pairs = [(b[i][0], b[i + 1][0]) for b in
-                 (r["blocks"] for r in results) for i in range(len(b) - 1)]
-        if len(pairs) >= 3:
-            x, y = np.array(pairs, dtype=np.float64).T
+        # independence diagnostics on the step spacings of consecutive
+        # blocks of one replica
+        same = res["block_row"][1:] == res["block_row"][:-1]
+        n_pairs = int(same.sum())
+        if n_pairs >= 3:
+            x, y = blocks[:-1, 0][same], blocks[1:, 0][same]
             r1 = float(np.corrcoef(x, y)[0, 1])
             summary["lag1_autocorr"] = r1
-            summary["lag1_ci95"] = 1.96 / math.sqrt(len(pairs))
+            summary["lag1_ci95"] = 1.96 / math.sqrt(n_pairs)
         spacings = blocks[:, 0]
         half = len(spacings) // 2
         ks = stats.ks_2samp(spacings[:half], spacings[half:])
@@ -309,16 +344,17 @@ def _run_renewal_stats(cfg: ExperimentConfig, out: str) -> list:
     return ["renewals.csv", "summary.json"]
 
 
-def _run_speed_curve(cfg: ExperimentConfig, out: str) -> list:
+def _run_speed_curve(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     p_grid = cfg.params.get("p_grid")
     if not p_grid:
         raise ExperimentError("params.p_grid: required for speed-curve")
     points = []
-    for p in map(float, p_grid):
-        args = [(_seed(cfg, r, _p_role(p)), p, cfg.horizon)
-                for r in range(cfg.replicas)]
-        finals = _map_replicas(_task_final_depth, args, cfg.workers)
-        v = np.asarray(finals, dtype=np.float64) / cfg.horizon
+    for i, p in enumerate(map(float, p_grid)):
+        finals = _run_blocks(
+            seeds[i * cfg.replicas:(i + 1) * cfg.replicas],
+            schedules.bernoulli(p), cfg.horizon, None, "edge", cfg.workers,
+            final_only=True)["final_depth"]
+        v = finals.astype(np.float64) / cfg.horizon
         points.append(estimators.SpeedCurvePoint(
             p=p, v_hat=float(v.mean()),
             stderr=float(v.std(ddof=1) / math.sqrt(len(v))),
@@ -335,11 +371,10 @@ def _run_speed_curve(cfg: ExperimentConfig, out: str) -> list:
     return ["speed_curve.csv", "summary.json"]
 
 
-def _run_degree_dist(cfg: ExperimentConfig, out: str) -> list:
+def _run_degree_dist(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     default = {"kind": "decaying", "gamma": cfg.params.get("gamma", 0.75)}
-    sched, desc = _resolve_schedule(cfg, default)
-    seed = _replica_seed(cfg, 0)
-    traj = engine.run("edge", sched, cfg.horizon, seed, keep_tree=True)
+    sched, _ = _resolve_schedule(cfg, default)
+    traj = engine.run("edge", sched, cfg.horizon, seeds[0], keep_tree=True)
     hist = estimators.degree_histogram(traj.final_tree)
     estimators.degree_histogram_to_csv(hist, os.path.join(out, "degree.csv"))
     _write_json(os.path.join(out, "summary.json"), {
@@ -353,20 +388,17 @@ def _run_degree_dist(cfg: ExperimentConfig, out: str) -> list:
     return ["degree.csv", "summary.json"]
 
 
-def _run_tail(cfg: ExperimentConfig, out: str) -> list:
-    sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
-    args = [(_replica_seed(cfg, r), desc,
-             cfg.horizon, cfg.guard, "edge") for r in range(cfg.replicas)]
-    results = _map_replicas(_task_trajectory_stats, args, cfg.workers)
-    samples, censored = [], []
-    for res in results:
-        confirmed = [t for t, c in zip(res["taus"], res["censored"]) if not c]
-        if confirmed:
-            samples.append(confirmed[0])
-            censored.append(False)
-        else:
-            samples.append(max(cfg.horizon - res["guard"], 1))
-            censored.append(True)
+def _run_tail(cfg: ExperimentConfig, out: str, seeds: list) -> list:
+    sched, _ = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
+    res = _run_blocks(seeds, sched, cfg.horizon, cfg.guard, "edge",
+                      cfg.workers)
+    # a replica's first confirmed regeneration, else censored at its guard
+    confirmed = ~res["censored"]
+    rows, first = np.unique(res["row"][confirmed], return_index=True)
+    samples = np.maximum(cfg.horizon - res["guard"], 1)
+    samples[rows] = res["tau"][confirmed][first]
+    censored = np.ones(len(samples), dtype=np.bool_)
+    censored[rows] = False
     fit = estimators.tail_survival(samples, censored)
     estimators.tail_to_csv(fit, os.path.join(out, "tail.csv"))
     _write_json(os.path.join(out, "summary.json"), {
@@ -377,13 +409,12 @@ def _run_tail(cfg: ExperimentConfig, out: str) -> list:
     return ["tail.csv", "summary.json"]
 
 
-def _run_clt(cfg: ExperimentConfig, out: str) -> list:
-    sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
-    args = [(_replica_seed(cfg, r), desc,
-             cfg.horizon, cfg.guard, "edge") for r in range(cfg.replicas)]
-    results = _map_replicas(_task_trajectory_stats, args, cfg.workers)
-    finals = np.array([r["final_depth"] for r in results], dtype=np.float64)
-    blocks = _pooled_blocks(results)
+def _run_clt(cfg: ExperimentConfig, out: str, seeds: list) -> list:
+    sched, _ = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
+    res = _run_blocks(seeds, sched, cfg.horizon, cfg.guard, "edge",
+                      cfg.workers)
+    finals = res["final_depth"].astype(np.float64)
+    blocks = res["blocks"].astype(np.float64)
     v_hat = float(finals.mean() / cfg.horizon)
     candidates = estimators.sigma_candidates(blocks, v_hat)
     name, sigma_hat = estimators.select_sigma(finals, cfg.horizon, v_hat, candidates)
@@ -405,17 +436,14 @@ def _run_clt(cfg: ExperimentConfig, out: str) -> list:
     return ["clt.csv", "summary.json"]
 
 
-def _run_lil(cfg: ExperimentConfig, out: str) -> list:
+def _run_lil(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     sched, desc = _resolve_schedule(cfg, {"kind": "bernoulli", "p": 0.5})
     n_min = int(cfg.params.get("n_min", LIL_N_MIN))
     band = cfg.params.get("band", [0.4, 1.6])
-    seeds = [_replica_seed(cfg, r)
-             for r in range(cfg.replicas)]
-    pass1 = _map_replicas(_task_trajectory_stats,
-                          [(s, desc, cfg.horizon, cfg.guard, "edge") for s in seeds],
-                          cfg.workers)
-    blocks = _pooled_blocks(pass1)
-    finals = np.array([r["final_depth"] for r in pass1], dtype=np.float64)
+    pass1 = _run_blocks(seeds, sched, cfg.horizon, cfg.guard, "edge",
+                        cfg.workers)
+    blocks = pass1["blocks"].astype(np.float64)
+    finals = pass1["final_depth"].astype(np.float64)
     v_hat = float(finals.mean() / cfg.horizon)
     candidates = estimators.sigma_candidates(blocks, v_hat)
     name, sigma_hat = estimators.select_sigma(finals, cfg.horizon, v_hat, candidates)
@@ -439,7 +467,7 @@ def _run_lil(cfg: ExperimentConfig, out: str) -> list:
     return ["lil.csv", "summary.json"]
 
 
-def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
+def _run_coupling_grand(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     p_grid = cfg.params.get("p_grid", [0.0, 0.25, 0.5, 0.75, 1.0])
     coal = cfg.params.get("coalescence")
     coal_t = (float(coal["p"]), float(coal["q"]), int(coal["n"])) if coal else None
@@ -447,7 +475,7 @@ def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
     args = []
     for r in range(cfg.replicas):
         want_marginal = marg is not None and r < int(marg["replicas"])
-        args.append((_replica_seed(cfg, r),
+        args.append((seeds[r],
                      cfg.horizon, tuple(float(p) for p in p_grid), coal_t,
                      float(marg["p"]) if marg else 0.0,
                      int(marg["steps"]) if marg else 0, want_marginal, r == 0))
@@ -485,8 +513,7 @@ def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
                               if "marginal_depth" in r], dtype=np.float64)
         direct = np.empty(int(marg["replicas"]))
         sched = schedules.bernoulli(float(marg["p"]))
-        for i in range(len(direct)):
-            s = _seed(cfg, i, "direct")
+        for i, s in enumerate(seeds[cfg.replicas:]):
             direct[i] = engine.run("edge", sched, int(marg["steps"]), s).depths[-1]
         ks = stats.ks_2samp(extracted, direct)
         summary["marginal"] = {
@@ -500,13 +527,12 @@ def _run_coupling_grand(cfg: ExperimentConfig, out: str) -> list:
     return ["grand_events.jsonl", "summary.json"]
 
 
-def _run_coupling_tv(cfg: ExperimentConfig, out: str) -> list:
+def _run_coupling_tv(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     law_a = cfg.params.get("law_a", {"support": [0, 1], "probs": [0.5, 0.5]})
     law_b = cfg.params.get("law_b", {"support": [0, 1], "probs": [0.3, 0.7]})
     d_tv = couplings.tv_distance(schedules.LeafLaw.from_dict(law_a),
                                  schedules.LeafLaw.from_dict(law_b))
-    args = [(_replica_seed(cfg, r),
-             law_a, law_b, cfg.horizon, cfg.guard) for r in range(cfg.replicas)]
+    args = [(s, law_a, law_b, cfg.horizon, cfg.guard) for s in seeds]
     results = _map_replicas(_task_tv_pair, args, cfg.workers)
     with open(os.path.join(out, "tv_pairs.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -530,15 +556,13 @@ def _run_coupling_tv(cfg: ExperimentConfig, out: str) -> list:
     return ["tv_pairs.csv", "summary.json"]
 
 
-def _run_coupling_monotone(cfg: ExperimentConfig, out: str) -> list:
+def _run_coupling_monotone(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     law = cfg.params.get("law", {"support": [0, 1, 3], "probs": [0.25, 0.25, 0.5]})
     p_floor = float(cfg.params.get("p_floor", 0.5))
     initial = cfg.params.get("initial",
                              {"parents": [None, 0, 1, 2], "walker": 3})
     target = int(cfg.params.get("target", 0))
-    args = [(_replica_seed(cfg, r),
-             law, p_floor, cfg.horizon, initial, target)
-            for r in range(cfg.replicas)]
+    args = [(s, law, p_floor, cfg.horizon, initial, target) for s in seeds]
     results = _map_replicas(_task_monotone, args, cfg.workers)
     lead = np.array([r["lead_hit"] for r in results])
     floor = np.array([r["floor_hit"] for r in results])
@@ -567,7 +591,7 @@ def _run_coupling_monotone(cfg: ExperimentConfig, out: str) -> list:
     return ["summary.json"]
 
 
-def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
+def _run_counterexample(cfg: ExperimentConfig, out: str, seeds: list) -> list:
     p = float(cfg.params.get("p", 0.2))
     q = float(cfg.params.get("q", 0.9))
     j_max = int(cfg.params.get("j_max", 4))
@@ -576,7 +600,7 @@ def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
         replicas=int(pilot_cfg.get("replicas", 64)),
         slack=float(pilot_cfg.get("slack", 0.01)),
         gap_fraction=float(pilot_cfg.get("gap_fraction", 0.125)),
-        seed=_seed(cfg, 0, "pilot"),
+        seed=seeds[0],
         step_budget=int(pilot_cfg.get("step_budget", 4_000_000)),
         reference_horizon=int(pilot_cfg.get("reference_horizon", 4000)))
     sched, checkpoints = schedules.build_alternating(p, q, j_max, pilot)
@@ -584,12 +608,12 @@ def _run_counterexample(cfg: ExperimentConfig, out: str) -> list:
     v_slow = schedules.pilot_speed(p, pilot, salt=1)
     v_fast = schedules.pilot_speed(q, pilot, salt=2)
 
-    eval_replicas = int(cfg.params.get("eval_replicas", 100))
+    eval_seeds = seeds[1:]
+    eval_replicas = len(eval_seeds)
     horizon = checkpoints[-1]
     depth_sum = np.zeros(horizon + 1, dtype=np.float64)
     depth_sq = np.zeros(horizon + 1, dtype=np.float64)
-    for r in range(eval_replicas):
-        s = _seed(cfg, r, "eval")
+    for s in eval_seeds:
         traj = engine.run("edge", sched, horizon, s)
         depth_sum += traj.depths
         depth_sq += traj.depths.astype(np.float64) ** 2
@@ -652,7 +676,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     if not os.access(out, os.W_OK):
         raise ExperimentError(f"output directory {out!r} is not writable")
     start = time.monotonic()
-    outputs = _RUNNERS[cfg.experiment](cfg, out)
+    seeds = _run_seeds(cfg)
+    outputs = _RUNNERS[cfg.experiment](cfg, out, seeds)
     summary_path = os.path.join(out, "summary.json")
     if "summary.json" in outputs and os.path.exists(summary_path):
         with open(summary_path) as fh:
@@ -664,7 +689,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         config_hash=cfg.hash(),
         resolved_schedule=cfg.resolved_schedule,
         engine_version=engine.ENGINE_VERSION,
-        replica_seeds=list(itertools.islice(_run_seeds(cfg), 10_000)),
+        replica_seeds=seeds[:10_000],
         wall_time_s=round(time.monotonic() - start, 3),
         outputs=sorted(outputs),
         backend=_kernels.BACKEND,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tbrw import _kernels, cli, config, couplings, engine, schedules
+from tbrw import (_kernels, cli, config, couplings, engine, experiments,
+                  schedules)
 from tbrw.config import ConfigError, derive_seed, parse_config
-from tbrw.experiments import run_experiment
+from tbrw.experiments import ReplicaError, run_experiment
 
 
 def test_parse_minimal_speed_curve():
@@ -303,7 +304,59 @@ def test_replica_failure_reported(tmp_path):
         "schedule": {"kind": "iid", "support": [0], "probs": [1.0]},
         "params": {"initial": {"parents": [None], "walker": 0}},
         "out": str(tmp_path)})
-    from tbrw.experiments import ReplicaError
     with pytest.raises(ReplicaError) as err:
         run_experiment(cfg)
     assert "replica 0" in str(err.value)
+
+
+def test_isolated_walkers_in_a_batch_are_replica_errors(tmp_path):
+    # from a single vertex a walker whose first leaf count is 0 is isolated;
+    # the block tasks must name exactly the replicas engine.run rejects
+    law = {"support": [0, 1], "probs": [0.5, 0.5]}
+    cfg = parse_config({
+        "experiment": "renewal-stats", "seed": 8, "horizon": 20,
+        "replicas": 40, "workers": 2, "schedule": {"kind": "iid", **law},
+        "params": {"initial": {"parents": [None], "walker": 0}},
+        "out": str(tmp_path)})
+    isolated = []
+    for r in range(40):
+        try:
+            engine.run({"parents": [None], "walker": 0},
+                       schedules.iid(schedules.LeafLaw.from_dict(law)), 20,
+                       derive_seed(8, "renewal-stats", r, "run"))
+        except engine.SimulationError as exc:
+            isolated.append((r, f"SimulationError: {exc}"))
+    assert 5 < len(isolated) < 35
+    with pytest.raises(ReplicaError) as err:
+        run_experiment(cfg)
+    assert err.value.failures == isolated
+
+
+@pytest.mark.parametrize("n, horizon, workers", [
+    (1, 100, 1), (7, 100, 2), (10_000, 100, 2), (10_000, 4000, 2),
+    (50, 1_000_000, 2), (3, 10 ** 7, 1), (40, 2 ** 20, 4), (9, 2 ** 20 - 1, 1)])
+def test_chunks_cover_replicas_within_the_step_budget(n, horizon, workers):
+    bounds = experiments._chunks(n, horizon, workers)
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    for lo, hi in bounds:
+        assert hi > lo
+        assert (hi - lo) * (horizon + 1) <= experiments.STEP_BUDGET or hi - lo == 1
+
+
+def test_each_replica_seed_derived_once(tmp_path, monkeypatch):
+    # the runner uses the seed list the manifest records, derived once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive_seed(*args)
+
+    monkeypatch.setattr(experiments, "derive_seed", counting)
+    manifest = run_experiment(parse_config({
+        "experiment": "renewal-stats", "seed": 2, "horizon": 50,
+        "replicas": 5, "out": str(tmp_path),
+        "schedule": {"kind": "bernoulli", "p": 0.5}}))
+    assert len(calls) == 5
+    assert manifest.replica_seeds == [derive_seed(2, "renewal-stats", r, "run")
+                                      for r in range(5)]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tbrw import _kernels, couplings, engine, schedules
+from tbrw import _kernels, couplings, engine, experiments, schedules
 from tbrw.config import parse_config
 from tbrw.experiments import run_experiment
 
@@ -107,6 +107,9 @@ def test_backend_flag_reports():
     grand = _kernels.available_backends("grand")
     assert set(grand) == set(backends)
     assert grand[_kernels.BACKEND] is _kernels.grand_loop
+    batch = _kernels.available_backends("batch")
+    assert set(batch) == set(backends)
+    assert batch[_kernels.BACKEND] is _kernels.simulate_batch
     assert (_kernels.FALLBACK_REASON is None) == (_kernels.BACKEND == "c")
 
 
@@ -177,9 +180,126 @@ def test_c_loop_rejects_links_to_missing_nodes():
         c_fn(*args)  # the arena now links to nodes the rerun has not made
 
 
+# -- the batch loop
+
+
+def _assert_rows_match_run(batch, initial, law, horizon, seeds):
+    for r, seed in enumerate(seeds):
+        try:
+            traj = engine.run(initial, law, horizon, seed)
+        except engine.SimulationError:
+            assert batch.node_count[r] == -1, (initial, horizon, seed)
+            continue
+        assert batch.node_count[r] == traj.final_size, (initial, horizon, seed)
+        assert np.array_equal(batch.positions[r], traj.positions)
+        assert np.array_equal(batch.depths[r], traj.depths)
+        assert np.array_equal(batch.leaf_at_arrival[r], traj.leaf_at_arrival)
+        assert np.array_equal(batch.xi[r], traj.xi)
+
+
+def test_run_batch_matches_run(monkeypatch):
+    # row r of run_batch is engine.run with seeds[r], on both batch loops;
+    # from the vertex some walkers are isolated, which marks only their row
+    backends = {"python": _kernels._simulate_batch_python,
+                "c": _c_backend("batch")}
+    seeds = list(range(25))
+    for name, fn in backends.items():
+        monkeypatch.setattr(_kernels, "simulate_batch", fn)
+        for law in LAWS.values():
+            for initial in INITIALS[:3]:
+                for horizon in (1, 2, 37, 400):
+                    batch = engine.run_batch(initial, law, horizon, seeds)
+                    assert batch.positions.shape == (25, horizon + 1)
+                    _assert_rows_match_run(batch, initial, law, horizon, seeds)
+        assert engine.run_batch("vertex", LAWS["bernoulli"], 5,
+                                seeds).isolated.any()
+
+    # enough replicas that _chunks cuts them by STEP_BUDGET, not by worker
+    # (on the C loop: the Python loop would take some 15 s)
+    horizon, law = 400, LAWS["0-1-3"]
+    per_chunk = experiments.STEP_BUDGET // (horizon + 1)
+    n = 4 * per_chunk + 3
+    bounds = experiments._chunks(n, horizon, 1)
+    assert len(bounds) == 5 and bounds[0] == (0, per_chunk)
+    seeds = [experiments.derive_seed(11, "renewal-stats", r, "run")
+             for r in range(n)]
+    for lo, hi in bounds:
+        batch = engine.run_batch("edge", law, horizon, seeds[lo:hi])
+        _assert_rows_match_run(batch, "edge", law, horizon, seeds[lo:hi])
+
+
+def _batch_args(rows=6, horizon=30, seed=2):
+    batch = engine.run_batch("edge", LAWS["0-1-3"], horizon,
+                             list(range(seed, seed + rows)))
+    rng = np.random.default_rng(seed)
+    tree = np.array(engine.make_initial("edge").tree.arrays())
+    capacity = 2 + int(batch.xi.sum(axis=1).max())
+    return [np.empty((7, capacity), dtype=np.int64), tree, 1, batch.xi,
+            rng.random(batch.xi.shape), np.zeros_like(batch.positions),
+            np.zeros_like(batch.depths), np.zeros_like(batch.leaf_at_arrival),
+            np.zeros(rows, dtype=np.int64)]
+
+
+BATCH_BAD_INPUTS = {
+    "arena int32": _bad(0, lambda a: a.astype(np.int32)),
+    "arena read-only": _bad(0, lambda a: np.frombuffer(
+        a.tobytes(), np.int64).reshape(a.shape)),
+    "arena too narrow": _bad(0, lambda a: a[:, :-1].copy()),
+    "arena 1-d": _bad(0, lambda a: a.ravel()),
+    "arena six node arrays": _bad(0, lambda a: a[:6].copy()),
+    "tree not contiguous": _bad(1, lambda a: np.repeat(a, 2, axis=1)[:, ::2]),
+    "tree a list": _bad(1, lambda a: a.tolist()),
+    "pos past the tree": _bad(2, 2),
+    "pos negative": _bad(2, -1),
+    "xi 1-d": _bad(3, lambda a: a[0].copy()),
+    "xi dtype float": _bad(3, lambda a: a.astype(np.float64)),
+    "xi negative": _bad(3, lambda a: np.where(a == a.max(), -1, a)),
+    "xi a row past the capacity": _bad(3, lambda a: a + (np.arange(
+        len(a)) == 4)[:, None]),
+    "xi sum wraps around": _bad(3, lambda a: np.where(
+        (np.arange(a.shape[1]) >= 1) & (np.arange(a.shape[1]) <= 4), 2 ** 62, a)),
+    "jump_u one row short": _bad(4, lambda a: a[:-1].copy()),
+    "jump_u equal to 1": _bad(4, lambda a: np.where(a == a.max(), 1.0, a)),
+    "jump_u NaN": _bad(4, lambda a: np.where(a == a.min(), np.nan, a)),
+    "positions one column short": _bad(5, lambda a: a[:, :-1].copy()),
+    "depths dtype int32": _bad(6, lambda a: a.astype(np.int32)),
+    "leaf_flags dtype uint8": _bad(7, lambda a: a.astype(np.uint8)),
+    "finals one short": _bad(8, lambda a: a[:-1].copy()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_BAD_INPUTS))
+def test_c_batch_wrapper_rejects_bad_input_before_the_call(case, monkeypatch):
+    c_fn = _c_backend("batch")
+    args = _batch_args()
+    c_fn(*args)  # the unmodified input runs
+    assert (args[8] > 2).all()
+    args = _batch_args()
+    BATCH_BAD_INPUTS[case](args)
+
+    def must_not_run(*a):
+        raise AssertionError("C was called")
+
+    monkeypatch.setattr(_kernels, "_c_simulate_batch", must_not_run)
+    with pytest.raises(ValueError):
+        c_fn(*args)
+
+
+def test_c_batch_rejects_links_to_missing_nodes():
+    c_fn = _c_backend("batch")
+    args = _batch_args()
+    args[1][3, 0] = args[1][5, 0] = 9  # the root's first child "9"
+    with pytest.raises(ValueError, match="link"):
+        c_fn(*args)
+
+
 FALLBACK_CONFIGS = {
     "simulate": {"experiment": "simulate", "seed": 3, "horizon": 300,
                  "schedule": {"kind": "bernoulli", "p": 0.5}},
+    "renewal-stats": {"experiment": "renewal-stats", "seed": 3,
+                      "horizon": 100, "replicas": 30, "workers": 2,
+                      "schedule": {"kind": "iid", "support": [0, 1, 3],
+                                   "probs": [0.5, 0.3, 0.2]}},
     "coupling-grand": {"experiment": "coupling-grand", "seed": 3,
                        "horizon": 40, "replicas": 3,
                        "params": {"coalescence": {"p": 0.5, "q": 0.6, "n": 10},

@@ -193,6 +193,41 @@ def test_censoring_monotone_under_extension():
                 assert tau in set(rec_s.taus.tolist())
 
 
+@pytest.mark.parametrize("guard", [None, 0, 10])
+def test_row_detection_matches_one_row_path(guard):
+    # each row of a batch gets what detect_renewals finds on that run alone,
+    # with its own guard under guard=None; rows range from no candidates to
+    # many
+    swarm = schedules.iid(schedules.LeafLaw((0, 1, 3), (0.5, 0.3, 0.2)))
+    seeds = list(range(40))
+    for initial, law, horizon in (("edge", swarm, 300),
+                                  ("vertex", schedules.bernoulli(0.9), 60),
+                                  ("edge", swarm, 1)):
+        batch = engine.run_batch(initial, law, horizon, seeds)
+        found = stopping.detect_renewal_rows(batch.depths,
+                                             batch.leaf_at_arrival, guard)
+        assert found.horizon == horizon
+        block_row, blocks = found.blocks()
+        counts = np.bincount(found.row, minlength=len(seeds))
+        for r, seed in enumerate(seeds):
+            if batch.isolated[r]:
+                continue
+            rec = stopping.detect_renewals(
+                engine.run(initial, law, horizon, seed), guard)
+            mine = found.row == r
+            assert found.guard[r] == rec.guard
+            assert np.array_equal(found.taus[mine], rec.taus)
+            assert np.array_equal(found.depths[mine], rec.depths)
+            assert np.array_equal(found.censored[mine], rec.censored)
+            assert np.array_equal(found.confirm_margin[mine], rec.confirm_margin)
+            expected = (stopping.renewal_blocks(rec) if rec.n_confirmed >= 2
+                        else np.zeros((0, 2), dtype=np.int64))
+            assert np.array_equal(blocks[block_row == r], expected)
+        if horizon == 300:
+            assert counts.min() == 0 and counts.max() >= 3
+            assert len(set(found.guard.tolist())) > 2 or guard is not None
+
+
 def test_detection_scales_linearly():
     sched = schedules.bernoulli(0.5)
     t_small = t_big = 0.0
